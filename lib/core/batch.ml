@@ -1,25 +1,13 @@
 open Numerics
 
-type t = {
-  kernel : Cellpop.Kernel.t;
-  basis : Spline.Basis.t;
-  params : Cellpop.Params.t;
-  use_positivity : bool;
-  use_conservation : bool;
-  use_rate_continuity : bool;
-}
+(* The prepared model: a template problem whose design, penalty and
+   constraint rows every gene shares through [Problem.with_data]. *)
+type t = Problem.t
 
-let prepare ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_continuity = true)
-    ~kernel ~basis ~params () =
-  { kernel; basis; params; use_positivity; use_conservation; use_rate_continuity }
-
-let problem_for t ?sigmas measurements =
-  Problem.create ~use_positivity:t.use_positivity ~use_conservation:t.use_conservation
-    ~use_rate_continuity:t.use_rate_continuity ?sigmas ~kernel:t.kernel ~basis:t.basis
-    ~measurements ~params:t.params ()
+let prepare = Problem.template
 
 let solve_gene t ?sigmas ?(lambda = `Gcv) ?cache ~measurements () =
-  let problem = problem_for t ?sigmas measurements in
+  let problem = Problem.with_data ?sigmas t measurements in
   let lambda =
     match lambda with
     | `Fixed l -> l
@@ -40,10 +28,10 @@ let solve_gene t ?sigmas ?(lambda = `Gcv) ?cache ~measurements () =
 
 let hex = Printf.sprintf "%h"
 
-let gene_key t ?sigmas ~lambda ~measurements () =
-  let k = t.kernel in
-  let b = t.basis in
-  let p = t.params in
+let gene_key (t : t) ?sigmas ~lambda ~measurements () =
+  let k = t.Problem.kernel in
+  let b = t.Problem.basis in
+  let p = t.Problem.params in
   let flag v = if v then "1" else "0" in
   Checkpoint.key_of_parts
     [
@@ -70,7 +58,8 @@ let gene_key t ?sigmas ~lambda ~measurements () =
       | Cellpop.Params.Synchronized_swarmer -> "swarmer"
       | Cellpop.Params.Uniform_phase -> "uniform");
       "constraints";
-      flag t.use_positivity ^ flag t.use_conservation ^ flag t.use_rate_continuity;
+      flag t.Problem.use_positivity ^ flag t.Problem.use_conservation
+      ^ flag t.Problem.use_rate_continuity;
       "lambda";
       (match lambda with `Gcv -> "gcv" | `Fixed l -> "fixed:" ^ hex l);
       "gene";
@@ -81,7 +70,7 @@ let gene_key t ?sigmas ~lambda ~measurements () =
 
 let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ?cache ~measurements () =
   match
-    let problem = problem_for t ?sigmas measurements in
+    let problem = Problem.with_data ?sigmas t measurements in
     match Problem.validate problem with
     | Error e -> Error e
     | Ok () -> (
@@ -304,10 +293,10 @@ let solve_all_result t ?sigmas ?(lambda = `Gcv) ?max_seconds ?max_iterations ?jo
 let solve_all t ?sigmas ?lambda ~measurements () =
   Outcome.estimates (solve_all_result t ?sigmas ?lambda ~measurements ())
 
-let phases t = Array.copy t.kernel.Cellpop.Kernel.phases
+let phases (t : t) = Array.copy t.Problem.kernel.Cellpop.Kernel.phases
 
-let peak_phase t (estimate : Solver.estimate) =
-  t.kernel.Cellpop.Kernel.phases.(Vec.argmax estimate.Solver.profile)
+let peak_phase (t : t) (estimate : Solver.estimate) =
+  t.Problem.kernel.Cellpop.Kernel.phases.(Vec.argmax estimate.Solver.profile)
 
 let classify_by_peak t estimates ~boundaries =
   let n_b = Array.length boundaries in

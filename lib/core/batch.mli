@@ -6,7 +6,10 @@
 open Numerics
 
 type t
-(** Prepared context: forward matrix, penalty, constraint rows. *)
+(** Prepared context: forward matrix, penalty, constraint rows — a
+    {!Problem.template}, assembled once by {!prepare}. Each gene is a
+    {!Problem.with_data} record update of it, so no per-gene work
+    rebuilds any of these. *)
 
 val prepare :
   ?use_positivity:bool ->
@@ -17,6 +20,9 @@ val prepare :
   params:Cellpop.Params.t ->
   unit ->
   t
+(** {!Problem.template}: raises {!Robust.Error.Error} ([Invalid_input] on
+    ["params"]) for params that leave the constraints undefined. Per-gene
+    dimension mismatches are reported per gene by {!solve_gene_result}. *)
 
 val solve_gene :
   t ->

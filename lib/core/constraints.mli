@@ -12,8 +12,15 @@
     - Positivity (2.3, item 1): f_α(φ) ≥ 0, imposed on a grid.
 
     Dirac terms are evaluated analytically on basis functions; the
-    p(φ)-weighted integrals use composite Simpson quadrature on a fine
-    grid. *)
+    p(φ)-weighted integrals use composite Simpson quadrature (2000 panels)
+    on the ±10σ support window of p. Each row tabulates the nodes, and p
+    and β at the nodes, once, so each integral is a weighted sum over the
+    table, in {!Numerics.Integrate.simpson}'s order of operations —
+    bit-identical to quadratures of the same integrands.
+
+    Every function here raises {!Robust.Error.Error} ([Invalid_input] on
+    field ["params"]) when the support window is empty, e.g. for
+    [cv_sst = 0] or non-finite params. *)
 
 open Numerics
 
@@ -29,6 +36,11 @@ val conservation_row : Cellpop.Params.t -> Spline.Basis.t -> Vec.t
 val rate_continuity_row : Cellpop.Params.t -> Spline.Basis.t -> Vec.t
 (** Row vector c with c·α = 0 ⇔ paper eq. 17 (moved to one side):
     β₀f(1) − β₀f(0) − ∫βpf − 0.4f'(0) − 0.6∫pf' + f'(1) = 0. *)
+
+val equality_rows :
+  conservation:bool -> rate_continuity:bool -> Cellpop.Params.t -> Spline.Basis.t -> Mat.t option
+(** The enabled equality rows, conservation first; [None] when both are
+    off (params are then never read). *)
 
 val positivity_rows : Spline.Basis.t -> grid:Vec.t -> Mat.t
 (** Inequality rows Ψ(φ_g) for f_α(φ_g) ≥ 0. *)

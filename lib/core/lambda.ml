@@ -2,7 +2,10 @@ open Numerics
 
 type curve_point = { lambda : float; score : float }
 
-let default_grid = lazy (Optimize.Cross_validation.log_lambda_grid ~lo:(-7.0) ~hi:2.0 ~count:25)
+(* Eager, not [lazy]: batch genes select λ from pool workers, and two
+   domains forcing one suspension at once makes one of them raise
+   CamlinternalLazy.Undefined. *)
+let default_grid = Optimize.Cross_validation.log_lambda_grid ~lo:(-7.0) ~hi:2.0 ~count:25
 
 (* Robust GCV (Cummins, Filloon & Nychka): inflate the effective degrees of
    freedom by gamma in the denominator. Plain GCV (gamma = 1) is known to
@@ -330,7 +333,7 @@ let method_name = function
   | `Kfold _ -> "kfold"
 
 let select_with_curve problem ~method_ ?rng ?lambdas ?cache () =
-  let lambdas = match lambdas with Some l -> l | None -> Lazy.force default_grid in
+  let lambdas = match lambdas with Some l -> l | None -> default_grid in
   Obs.Span.with_ "lambda.select" (fun sp ->
       Obs.Span.set_str sp "method" (method_name method_);
       Obs.Span.set_int sp "candidates" (Array.length lambdas);

@@ -11,19 +11,20 @@ type t = {
   use_rate_continuity : bool;
   design : Mat.t;
   penalty : Mat.t;
+  equality_rows : Mat.t option;
+  positivity_rows : Mat.t option;
 }
 
-let create ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_continuity = true)
-    ?sigmas ~kernel ~basis ~measurements ~params () =
+let with_data ?sigmas t measurements =
   let n_m = Array.length measurements in
-  if Array.length kernel.Cellpop.Kernel.times <> n_m then
+  if Array.length t.kernel.Cellpop.Kernel.times <> n_m then
     Robust.Error.raise_error
       (Robust.Error.Invalid_input
          {
            field = "measurements";
            why =
              Printf.sprintf "%d measurements but kernel has %d times" n_m
-               (Array.length kernel.Cellpop.Kernel.times);
+               (Array.length t.kernel.Cellpop.Kernel.times);
          });
   let sigmas =
     match sigmas with
@@ -42,23 +43,52 @@ let create ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_contin
       s
     | None -> Vec.ones n_m
   in
+  { t with measurements; sigmas }
+
+let template ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_continuity = true)
+    ~kernel ~basis ~params () =
+  let n_t = Array.length kernel.Cellpop.Kernel.times in
+  (* Every model invariant is assembled here, once, and only here: the
+     matrices depend on (kernel, basis, params, flags), never on the data,
+     and are shared by every record update that swaps measurements/sigmas
+     (batch genes, bootstrap resamples, input repair). *)
+  let equality_rows, positivity_rows =
+    Obs.Span.with_ "problem.constraints" (fun sp ->
+        Obs.Span.set_int sp "basis_size" basis.Spline.Basis.size;
+        let equality =
+          Constraints.equality_rows ~conservation:use_conservation
+            ~rate_continuity:use_rate_continuity params basis
+        in
+        let positivity =
+          if use_positivity then
+            (* Include the interval endpoints: the conservation constraints
+               act on f(0) and f(1), which lie outside the bin-center grid. *)
+            let grid = Vec.concat [ [| 0.0 |]; kernel.Cellpop.Kernel.phases; [| 1.0 |] ] in
+            Some (Constraints.positivity_rows basis ~grid)
+          else None
+        in
+        (equality, positivity))
+  in
   {
     kernel;
     basis;
-    measurements;
-    sigmas;
+    measurements = Vec.zeros n_t;
+    sigmas = Vec.ones n_t;
     params;
     use_positivity;
     use_conservation;
     use_rate_continuity;
-    (* Assembled once here: kernel- and basis-derived matrices are
-       invariant under the record updates the codebase performs (new
-       measurements/sigmas for bootstrap resamples and input repair), and
-       recomputing them dominated every λ-sweep before the spectral fast
-       path. Swapping the kernel or basis must go through [create]. *)
     design = Forward.matrix_basis kernel basis;
     penalty = Spline.Penalty.second_derivative basis;
+    equality_rows;
+    positivity_rows;
   }
+
+let create ?use_positivity ?use_conservation ?use_rate_continuity ?sigmas ~kernel ~basis
+    ~measurements ~params () =
+  with_data ?sigmas
+    (template ?use_positivity ?use_conservation ?use_rate_continuity ~kernel ~basis ~params ())
+    measurements
 
 let num_measurements t = Array.length t.measurements
 

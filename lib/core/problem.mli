@@ -1,5 +1,14 @@
 (** A fully specified deconvolution problem: data, kernel, representation
-    and which physical constraints to enforce. *)
+    and which physical constraints to enforce.
+
+    A problem splits into a {e model} — kernel, basis, params, constraint
+    flags and everything derived from them — and the {e data}
+    (measurements, sigmas). The derived matrices are assembled once, by
+    {!template}, and shared by every problem made from it with
+    {!with_data} or a record update of [measurements]/[sigmas] (batch
+    genes, bootstrap resamples, input repair). Changing the kernel, basis,
+    params or a flag must go through {!template} or {!create}: a record
+    update of those fields would leave the derived matrices stale. *)
 
 open Numerics
 
@@ -13,12 +22,43 @@ type t = {
   use_conservation : bool;
   use_rate_continuity : bool;
   design : Mat.t;
-      (** forward matrix A·Ψ, assembled once by {!create} — prefer the
+      (** forward matrix A·Ψ, assembled once by {!template} — prefer the
           {!design} accessor *)
   penalty : Mat.t;
-      (** roughness penalty Ω, assembled once by {!create} — prefer the
+      (** roughness penalty Ω, assembled once by {!template} — prefer the
           {!penalty} accessor *)
+  equality_rows : Mat.t option;
+      (** eq. 12–19 equality rows C with Cα = 0, assembled once by
+          {!template}: the division-conservation row, then the
+          rate-continuity row, each present only when its flag is on;
+          [None] when both are off *)
+  positivity_rows : Mat.t option;
+      (** positivity rows Ψ(φ_g) with Ψα ≥ 0 on the kernel's phase grid
+          plus the endpoints φ = 0 and φ = 1, assembled once by
+          {!template}; [None] when [use_positivity] is off *)
 }
+
+val template :
+  ?use_positivity:bool ->
+  ?use_conservation:bool ->
+  ?use_rate_continuity:bool ->
+  kernel:Cellpop.Kernel.t ->
+  basis:Spline.Basis.t ->
+  params:Cellpop.Params.t ->
+  unit ->
+  t
+(** The model without data: every derived matrix assembled, measurements
+    all zero and sigmas all one until {!with_data} supplies them. The
+    constraint rows are built inside a ["problem.constraints"] span.
+    Raises {!Robust.Error.Error} ([Invalid_input] on ["params"]) when the
+    params leave the φ_sst density no support (see {!Constraints}). *)
+
+val with_data : ?sigmas:Vec.t -> t -> Vec.t -> t
+(** [with_data ?sigmas t measurements] is [t] with new data and the same
+    model — a record update, no assembly. [sigmas] default to all-ones
+    (unweighted fit). Dimension compatibility with the kernel's times is
+    checked; a mismatch raises {!Robust.Error.Error} ([Invalid_input] on
+    ["measurements"] or ["sigmas"]). *)
 
 val create :
   ?use_positivity:bool ->
@@ -31,10 +71,10 @@ val create :
   params:Cellpop.Params.t ->
   unit ->
   t
-(** All constraints default to on (the paper's full method); [sigmas]
-    default to all-ones (unweighted fit). Dimension compatibility is
-    checked; a mismatch raises {!Robust.Error.Error} ([Invalid_input]),
-    keeping the typed-error contract from the very first entry point. *)
+(** [with_data ?sigmas (template ...) measurements]. All constraints
+    default to on (the paper's full method). Errors are those of
+    {!template} and {!with_data}, so the typed-error contract holds from
+    the very first entry point. *)
 
 val num_measurements : t -> int
 
@@ -50,9 +90,9 @@ val weights : t -> Vec.t
 
 val design : t -> Mat.t
 (** Forward matrix A·Ψ from coefficients to predicted measurements.
-    Precomputed by {!create}: every λ candidate, fold and bootstrap
+    Precomputed by {!template}: every λ candidate, fold and bootstrap
     replicate reads the same assembly instead of re-integrating the
     kernel against the basis. *)
 
 val penalty : t -> Mat.t
-(** Roughness penalty Ω for the basis. Precomputed by {!create}. *)
+(** Roughness penalty Ω for the basis. Precomputed by {!template}. *)

@@ -31,16 +31,6 @@ let quadratic_pieces ?(ridge = 0.0) problem lambda =
   let g_lin = Vec.scale (-2.0) (Mat.tmv a wg) in
   (a, w, omega, h, g_lin)
 
-let equality_rows problem =
-  let rows = ref [] in
-  if problem.Problem.use_rate_continuity then
-    rows := Constraints.rate_continuity_row problem.Problem.params problem.Problem.basis :: !rows;
-  if problem.Problem.use_conservation then
-    rows := Constraints.conservation_row problem.Problem.params problem.Problem.basis :: !rows;
-  match !rows with
-  | [] -> None
-  | rows -> Some (Mat.of_rows (Array.of_list rows))
-
 let finish problem lambda a w omega (alpha : Vec.t) iterations active =
   let fitted = Mat.mv a alpha in
   let residuals = Vec.sub problem.Problem.measurements fitted in
@@ -66,28 +56,25 @@ let finish problem lambda a w omega (alpha : Vec.t) iterations active =
     qp_iterations = iterations;
   }
 
+(* Interior-point iteration cap of the raw [solve], and the cascade's
+   default. *)
+let default_qp_max_iter = 100
+
 (* The full constrained solve, returning the raw QP solution alongside the
    estimate so the cascade can distinguish "converged" from "gave up" and
    reuse the iterate + active set to warm-start the next retry. *)
-let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(max_iter = 100)
-    ?(fail_on_stall = true) ~lambda problem =
+let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9)
+    ?(max_iter = default_qp_max_iter) ?(fail_on_stall = true) ~lambda problem =
   Obs.Span.with_ "solver.constrained" (fun sp ->
       Obs.Span.set_float sp "lambda" lambda;
       Obs.Span.set_float sp "ridge" ridge;
       let a, w, omega, h, g_lin = quadratic_pieces ~ridge problem lambda in
-      let c_eq = equality_rows problem in
-      let d_eq = Option.map (fun (c : Mat.t) -> Vec.zeros c.Mat.rows) c_eq in
-      let a_ineq, b_ineq =
-        if problem.Problem.use_positivity then begin
-          let grid = problem.Problem.kernel.Cellpop.Kernel.phases in
-          (* Include the interval endpoints: the conservation constraints act
-             on f(0) and f(1), which lie outside the bin-center grid. *)
-          let grid = Vec.concat [ [| 0.0 |]; grid; [| 1.0 |] ] in
-          let rows = Constraints.positivity_rows problem.Problem.basis ~grid in
-          (Some rows, Some (Vec.zeros rows.Mat.rows))
-        end
-        else (None, None)
-      in
+      (* The constraint rows are model invariants, assembled once by
+         Problem.template; only the zero right-hand sides are made here. *)
+      let zeros = Option.map (fun (c : Mat.t) -> Vec.zeros c.Mat.rows) in
+      let c_eq = problem.Problem.equality_rows in
+      let a_ineq = problem.Problem.positivity_rows in
+      let d_eq = zeros c_eq and b_ineq = zeros a_ineq in
       let qp = { Optimize.Qp.h; g = g_lin; c_eq; d_eq; a_ineq; b_ineq } in
       let solution =
         Optimize.Qp.solve ?warm_start ?on_iteration ~tol ~max_iter ~fail_on_stall qp
@@ -137,12 +124,15 @@ let solve ?budget ?(lambda = 1e-4) ?ridge ?cache problem =
      entry point: internal numeric exceptions become Robust.Error here, so
      direct callers — Batch.solve_gene, Bootstrap.residual's replicate
      re-solves — never see a bare Singular/Infeasible. *)
-  match fst (solve_constrained ?warm_start ?on_iteration ?ridge ~lambda problem) with
+  let max_iter = default_qp_max_iter in
+  match fst (solve_constrained ?warm_start ?on_iteration ?ridge ~max_iter ~lambda problem) with
   | est -> est
   | exception Linalg.Singular _ ->
     Robust.Error.raise_error (Robust.Error.Ill_conditioned { cond = Float.infinity })
   | exception Optimize.Qp.Infeasible _ ->
-    Robust.Error.raise_error (Robust.Error.Qp_stalled { iterations = 0 })
+    (* Infeasible is raised only at the iteration cap, so the cap is the
+       number of passes the solve spent. *)
+    Robust.Error.raise_error (Robust.Error.Qp_stalled { iterations = max_iter })
 
 let solve_unconstrained ?(lambda = 1e-4) ?ridge ?spectral problem =
   match (spectral, ridge) with
@@ -199,7 +189,7 @@ let default_policy =
        solve is genuinely at risk. *)
     condition_limit = 1e12;
     qp_tol = 1e-9;
-    qp_max_iter = 100;
+    qp_max_iter = default_qp_max_iter;
     enable_unconstrained = true;
     enable_richardson_lucy = true;
     repair_inputs = true;

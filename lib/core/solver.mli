@@ -31,8 +31,10 @@ val solve :
     unlimited) is ticked once per QP interior-point pass; when it fires
     the solve raises {!Robust.Error.Error} [(Budget_exhausted _)]. All
     failures cross this boundary as {!Robust.Error.Error}: a singular
-    system surfaces as [Ill_conditioned], an infeasible QP as
-    [Qp_stalled] — never a bare internal exception.
+    system surfaces as [Ill_conditioned], a QP that hits its iteration
+    cap (that of {!default_policy}) as [Qp_stalled] carrying the cap —
+    never a bare internal exception. The constraint rows are read from
+    the problem ({!Problem.template} assembled them), never rebuilt.
 
     [cache] opts the solve into the spectral warm start: the constrained
     QP starts from the unconstrained Demmler–Reinsch solution at λ (the

@@ -98,6 +98,143 @@ let test_positivity_rows () =
   check_close ~tol:1e-12 "entries are basis evals" (basis.Spline.Basis.eval 3 grid.(7))
     (Mat.get rows 7 3)
 
+(* The rows as they were first written: one composite-Simpson quadrature
+   per integral through Integrate.simpson, re-evaluating p(φ) at every
+   node. The tabulated rows must reproduce these bit for bit. *)
+module Reference_rows = struct
+  let density_integral (params : Cellpop.Params.t) h =
+    let mu = params.Cellpop.Params.mu_sst in
+    let sigma = Cellpop.Params.sst_std params in
+    let a = Float.max 0.0 (mu -. (10.0 *. sigma)) in
+    let b = Float.min (1.0 -. 1e-9) (mu +. (10.0 *. sigma)) in
+    Integrate.simpson
+      (fun phi -> h phi *. Cellpop.Params.sst_density params phi)
+      ~a ~b ~n:2000
+
+  let beta phi = (1.0 -. Cellpop.Params.st_volume_fraction) /. (1.0 -. phi)
+
+  let conservation_row params (basis : Spline.Basis.t) =
+    let sw = Cellpop.Params.sw_volume_fraction in
+    let st = Cellpop.Params.st_volume_fraction in
+    Array.init basis.Spline.Basis.size (fun i ->
+        let psi = basis.Spline.Basis.eval i in
+        psi 1.0 -. (sw *. psi 0.0) -. (st *. density_integral params psi))
+
+  let rate_continuity_row params (basis : Spline.Basis.t) =
+    let sw = Cellpop.Params.sw_volume_fraction in
+    let st = Cellpop.Params.st_volume_fraction in
+    let b0 = density_integral params beta in
+    Array.init basis.Spline.Basis.size (fun i ->
+        let psi = basis.Spline.Basis.eval i in
+        let psi' = basis.Spline.Basis.deriv i in
+        (b0 *. psi 1.0) -. (b0 *. psi 0.0)
+        -. density_integral params (fun phi -> beta phi *. psi phi)
+        -. (sw *. psi' 0.0)
+        -. (st *. density_integral params psi')
+        +. psi' 1.0)
+end
+
+let check_bits msg expected actual =
+  Alcotest.(check int) (msg ^ ": length") (Array.length expected) (Array.length actual);
+  Array.iteri
+    (fun i x ->
+      if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float actual.(i))) then
+        Alcotest.failf "%s: entry %d is %h, reference %h" msg i actual.(i) x)
+    expected
+
+let test_tabulated_rows_bit_identical () =
+  let bases =
+    [
+      ("natural 10", basis);
+      ("natural 12", Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:12);
+      ("bspline 9", Spline.Bspline.create ~lo:0.0 ~hi:1.0 ~num_basis:9);
+    ]
+  in
+  let param_sets =
+    [
+      ("paper", params);
+      ("wide", { params with Cellpop.Params.cv_sst = 0.4 });
+      ("early", { params with Cellpop.Params.mu_sst = 0.05 });
+    ]
+  in
+  List.iter
+    (fun (bname, basis) ->
+      List.iter
+        (fun (pname, params) ->
+          let tag what = Printf.sprintf "%s row, %s basis, %s params" what bname pname in
+          check_bits (tag "conservation")
+            (Reference_rows.conservation_row params basis)
+            (Deconv.Constraints.conservation_row params basis);
+          check_bits (tag "rate continuity")
+            (Reference_rows.rate_continuity_row params basis)
+            (Deconv.Constraints.rate_continuity_row params basis);
+          check_bits (tag "beta0")
+            [| Reference_rows.density_integral params Reference_rows.beta |]
+            [| Deconv.Constraints.beta0 params |];
+          match
+            Deconv.Constraints.equality_rows ~conservation:true ~rate_continuity:true params
+              basis
+          with
+          | None -> Alcotest.fail "both rows requested, none built"
+          | Some rows ->
+            check_bits (tag "stacked conservation")
+              (Reference_rows.conservation_row params basis) (Mat.row rows 0);
+            check_bits (tag "stacked rate continuity")
+              (Reference_rows.rate_continuity_row params basis) (Mat.row rows 1))
+        param_sets)
+    bases
+
+let test_equality_rows_follow_flags () =
+  let rows ~conservation ~rate_continuity =
+    Option.map Mat.dims
+      (Deconv.Constraints.equality_rows ~conservation ~rate_continuity params basis)
+  in
+  let dims = Alcotest.(option (pair int int)) in
+  Alcotest.check dims "both" (Some (2, 10)) (rows ~conservation:true ~rate_continuity:true);
+  Alcotest.check dims "conservation" (Some (1, 10))
+    (rows ~conservation:true ~rate_continuity:false);
+  Alcotest.check dims "rate continuity" (Some (1, 10))
+    (rows ~conservation:false ~rate_continuity:true);
+  Alcotest.check dims "none" None (rows ~conservation:false ~rate_continuity:false);
+  (* With both rows off the params are never read, so even params with no
+     φ_sst support are accepted. *)
+  Alcotest.check dims "none, degenerate params" None
+    (Option.map Mat.dims
+       (Deconv.Constraints.equality_rows ~conservation:false ~rate_continuity:false
+          { params with Cellpop.Params.cv_sst = 0.0 }
+          basis))
+
+(* Rows are assembled once per model, in Problem.template / Batch.prepare,
+   outside the per-gene fault-isolation boundary: params with an empty
+   φ_sst support window must surface as a typed error there, never as an
+   Assert_failure. *)
+let test_degenerate_params_typed () =
+  let k = Lazy.force kernel in
+  let measurements = Array.make (Array.length times) 1.0 in
+  let expect_params_error label f =
+    match f () with
+    | (_ : Deconv.Problem.t) -> Alcotest.failf "%s: degenerate params accepted" label
+    | exception Robust.Error.Error (Robust.Error.Invalid_input { field; _ }) ->
+      Alcotest.(check string) (label ^ ": field") "params" field
+    | exception e -> Alcotest.failf "%s: untyped %s" label (Printexc.to_string e)
+  in
+  List.iter
+    (fun (pname, bad) ->
+      expect_params_error ("Problem.create, " ^ pname) (fun () ->
+          Deconv.Problem.create ~kernel:k ~basis ~measurements ~params:bad ());
+      expect_params_error ("Problem.template, " ^ pname) (fun () ->
+          Deconv.Problem.template ~kernel:k ~basis ~params:bad ());
+      match Deconv.Batch.prepare ~kernel:k ~basis ~params:bad () with
+      | (_ : Deconv.Batch.t) -> Alcotest.failf "Batch.prepare, %s: accepted" pname
+      | exception Robust.Error.Error (Robust.Error.Invalid_input { field; _ }) ->
+        Alcotest.(check string) ("Batch.prepare field, " ^ pname) "params" field
+      | exception e ->
+        Alcotest.failf "Batch.prepare, %s: untyped %s" pname (Printexc.to_string e))
+    [
+      ("cv_sst = 0", { params with Cellpop.Params.cv_sst = 0.0 });
+      ("nan mu_sst", { params with Cellpop.Params.mu_sst = Float.nan });
+    ]
+
 (* --- Noise --- *)
 
 let test_no_noise () =
@@ -194,6 +331,9 @@ let tests =
         case "rate row closed forms" test_rate_row_values;
         case "residual helpers" test_residual_functions;
         case "positivity rows" test_positivity_rows;
+        case "tabulated rows match the quadrature bitwise" test_tabulated_rows_bit_identical;
+        case "equality rows follow the flags" test_equality_rows_follow_flags;
+        case "degenerate params are a typed error" test_degenerate_params_typed;
       ] );
     ( "noise",
       [

@@ -440,6 +440,47 @@ let test_pipeline_lambda_spans =
           (spans events))
     > 1)
 
+(* Regression guard for the per-model assembly: the eq. 12–19 and
+   positivity rows are built once, in Batch.prepare, and never again on a
+   per-gene path — so a whole batch carries exactly one
+   "problem.constraints" span, recorded before the first gene. *)
+let test_batch_assembles_constraints_once =
+  with_clean_obs @@ fun () ->
+  let sink, recorded = Obs.Export.memory () in
+  Obs.Export.install sink;
+  let params = Cellpop.Params.paper_2011 in
+  let times = Array.init 6 (fun i -> 30.0 *. float_of_int i) in
+  let kernel =
+    Cellpop.Kernel.estimate params ~rng:(Numerics.Rng.create 21) ~n_cells:300 ~times ~n_phi:31
+  in
+  let basis = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:8 in
+  let count () =
+    List.length
+      (List.filter
+         (fun s -> String.equal s.Obs.Export.name "problem.constraints")
+         (spans (recorded ())))
+  in
+  let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
+  Alcotest.(check int) "prepare assembles the rows once" 1 (count ());
+  let genes = 16 in
+  let measurements =
+    Numerics.Mat.of_rows
+      (Array.init genes (fun g ->
+           Deconv.Forward.apply_fn kernel (fun phi ->
+               1.0 +. Float.sin ((2.0 *. Float.pi *. phi) +. float_of_int g))))
+  in
+  Parallel.set_jobs 2;
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_jobs 1)
+      (fun () -> Deconv.Batch.solve_all_result batch ~measurements ())
+  in
+  Alcotest.(check int) "every gene solved" genes (Deconv.Batch.Outcome.ok_count outcome);
+  Alcotest.(check int) "genes solved" genes
+    (List.length
+       (List.filter (fun s -> String.equal s.Obs.Export.name "qp.solve") (spans (recorded ()))));
+  Alcotest.(check int) "no per-gene assembly" 1 (count ())
+
 (* ---------------- concurrency ---------------- *)
 
 (* The metric registries and the export sink are mutex-guarded; concurrent
@@ -835,6 +876,7 @@ let tests =
       [
         case "span hierarchy end to end" test_pipeline_span_hierarchy;
         case "lambda selection spans" test_pipeline_lambda_spans;
+        case "batch assembles constraint rows once" test_batch_assembles_constraints_once;
       ] );
     ("obs-concurrency", [ case "concurrent emission" test_concurrent_emission ]);
     ( "telemetry-sampler",

@@ -245,6 +245,30 @@ let test_kfold_fold_seed_determinism () =
   check_bitwise_float "repeat kfold selection" a b;
   check_true "selected lambda usable" (Float.is_finite a && a >= 0.0)
 
+(* --- first use --- *)
+
+(* A module-level value first used from pool workers must be safe to
+   initialize from two domains at once: a [lazy] forced concurrently
+   raises CamlinternalLazy.Undefined in one of them, which inside a batch
+   is a spurious, timing-dependent gene failure. First use happens once
+   per process, so the probe (first_use/first_use_probe.ml) runs in fresh
+   subprocesses. With λ's default grid and erf's nodes as [lazy] values
+   every run of it failed on a 2-core machine, and one in three did in an
+   earlier, looser probe; 30 runs miss even that rate with probability
+   below 1e-5. *)
+let test_first_use_domain_safe () =
+  let probe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat "first_use" "first_use_probe.exe")
+  in
+  check_true "probe is built next to the test runner" (Sys.file_exists probe);
+  for run = 1 to 30 do
+    match Sys.command (Filename.quote_command probe []) with
+    | 0 -> ()
+    | code -> Alcotest.failf "run %d: two domains racing on first use (exit %d)" run code
+  done
+
 let tests =
   [
     ( "parallel-pool",
@@ -265,5 +289,6 @@ let tests =
         case "bootstrap bands bitwise across jobs" test_bootstrap_jobs_independent;
         case "batch solves bitwise across jobs" test_batch_jobs_independent;
         case "kfold fold-seed determinism" test_kfold_fold_seed_determinism;
+        case "first use is domain-safe (subprocesses)" test_first_use_domain_safe;
       ] );
   ]

@@ -150,12 +150,14 @@ let params = Cellpop.Params.paper_2011
 let times = Array.init 7 (fun i -> 25.0 *. float_of_int i)
 let basis = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:8
 
+let fixture_kernel =
+  lazy
+    (Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 1203) ~n_cells:300 ~times
+       ~n_phi:31)
+
 let fixture =
   lazy
-    (let kernel =
-       Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 1203) ~n_cells:300
-         ~times ~n_phi:31
-     in
+    (let kernel = Lazy.force fixture_kernel in
      let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
      let rng = Rng.create 1204 in
      let measurements =
@@ -235,6 +237,118 @@ let test_batch_budget_exhaustion () =
       check_true "typed budget_exhausted"
         (String.equal (Robust.Error.class_name e) "budget_exhausted"))
     (Outcome.failures outcome)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_estimate_bits msg (a : Deconv.Solver.estimate) (b : Deconv.Solver.estimate) =
+  let vec what x y =
+    Alcotest.(check int) (Printf.sprintf "%s: %s length" msg what) (Array.length x)
+      (Array.length y);
+    Array.iteri
+      (fun i v ->
+        if not (bits_equal v y.(i)) then
+          Alcotest.failf "%s: %s.(%d) is %h vs %h" msg what i v y.(i))
+      x
+  in
+  let scalar what x y =
+    if not (bits_equal x y) then Alcotest.failf "%s: %s is %h vs %h" msg what x y
+  in
+  vec "alpha" a.Deconv.Solver.alpha b.Deconv.Solver.alpha;
+  vec "profile" a.Deconv.Solver.profile b.Deconv.Solver.profile;
+  vec "fitted" a.Deconv.Solver.fitted b.Deconv.Solver.fitted;
+  scalar "lambda" a.Deconv.Solver.lambda b.Deconv.Solver.lambda;
+  scalar "cost" a.Deconv.Solver.cost b.Deconv.Solver.cost;
+  scalar "data_misfit" a.Deconv.Solver.data_misfit b.Deconv.Solver.data_misfit;
+  scalar "roughness" a.Deconv.Solver.roughness b.Deconv.Solver.roughness;
+  Alcotest.(check int) (msg ^ ": active_positivity") a.Deconv.Solver.active_positivity
+    b.Deconv.Solver.active_positivity;
+  Alcotest.(check int) (msg ^ ": qp_iterations") a.Deconv.Solver.qp_iterations
+    b.Deconv.Solver.qp_iterations
+
+(* A batch gene is a record update of the prepared template problem; it
+   must solve bit-for-bit like a problem built from scratch by
+   Problem.create and taken through Lambda.select and Solver.solve — for
+   every constraint-flag combination, with and without per-gene sigmas,
+   and with and without a shared factorization cache. *)
+let test_batch_gene_matches_problem_path () =
+  let kernel = Lazy.force fixture_kernel in
+  let _, clean = Lazy.force fixture in
+  let n_t = Array.length times in
+  let sigmas_for g = Array.init n_t (fun m -> 0.05 +. (0.01 *. float_of_int ((g + m) mod 5))) in
+  let flags = [ true; false ] in
+  List.iter
+    (fun use_positivity ->
+      List.iter
+        (fun use_conservation ->
+          List.iter
+            (fun use_rate_continuity ->
+              let batch =
+                Deconv.Batch.prepare ~use_positivity ~use_conservation ~use_rate_continuity
+                  ~kernel ~basis ~params ()
+              in
+              List.iter
+                (fun g ->
+                  List.iter
+                    (fun (sigmas, cached) ->
+                      let msg =
+                        Printf.sprintf "flags %b/%b/%b gene %d sigmas %b cache %b"
+                          use_positivity use_conservation use_rate_continuity g
+                          (Option.is_some sigmas) cached
+                      in
+                      let measurements = Mat.row clean g in
+                      let cache () =
+                        if cached then Some (Optimize.Spectral.Cache.create ()) else None
+                      in
+                      let via_batch =
+                        match
+                          Deconv.Batch.solve_gene_result batch ?sigmas ?cache:(cache ())
+                            ~measurements ()
+                        with
+                        | Ok e -> e
+                        | Error e -> Alcotest.failf "%s: %s" msg (Robust.Error.to_string e)
+                      in
+                      let problem =
+                        Deconv.Problem.create ~use_positivity ~use_conservation
+                          ~use_rate_continuity ?sigmas ~kernel ~basis ~measurements ~params ()
+                      in
+                      let cache = cache () in
+                      let lambda = Deconv.Lambda.select problem ~method_:`Gcv ?cache () in
+                      check_estimate_bits msg via_batch
+                        (Deconv.Solver.solve ~lambda ?cache problem))
+                    [ (None, false); (Some (sigmas_for g), false); (None, true) ])
+                [ 0; 4; 9 ])
+            flags)
+        flags)
+    flags
+
+(* Dimension checks moved from Problem.create into Problem.with_data; in
+   a batch they still fail each gene separately, with the same typed
+   error and field name. *)
+let test_batch_dimension_mismatch_per_gene () =
+  let batch, clean = Lazy.force fixture in
+  let genes, n_t = Mat.dims clean in
+  let expect_field label field (outcome : Deconv.Batch.Outcome.t) =
+    Alcotest.(check int) (label ^ ": every gene fails") genes
+      (Deconv.Batch.Outcome.failed_count outcome);
+    List.iter
+      (fun (g, e) ->
+        match e with
+        | Robust.Error.Invalid_input { field = f; _ } ->
+          Alcotest.(check string) (Printf.sprintf "%s: gene %d field" label g) field f
+        | e -> Alcotest.failf "%s: gene %d: %s" label g (Robust.Error.to_string e))
+      (Deconv.Batch.Outcome.failures outcome)
+  in
+  let widened = Mat.init genes (n_t + 1) (fun g m -> if m < n_t then Mat.get clean g m else 1.0) in
+  expect_field "long measurement rows" "measurements"
+    (Deconv.Batch.solve_all_result batch ~measurements:widened ());
+  expect_field "short sigma rows" "sigmas"
+    (Deconv.Batch.solve_all_result batch ~sigmas:(Mat.make genes (n_t - 1) 0.1)
+       ~measurements:clean ());
+  match Deconv.Batch.solve_gene_result batch ~measurements:[| 1.0; 2.0 |] () with
+  | Error (Robust.Error.Invalid_input { field; _ }) ->
+    Alcotest.(check string) "single gene field" "measurements" field
+  | Error e -> Alcotest.failf "single gene: %s" (Robust.Error.to_string e)
+  | Ok _ -> Alcotest.fail "single gene: mismatch accepted"
 
 (* --- checkpoint journal --- *)
 
@@ -449,6 +563,8 @@ let tests =
       [
         case "outcome counts and classes" test_batch_outcome_counts;
         case "budget exhaustion contained per gene" test_batch_budget_exhaustion;
+        case "gene solves bitwise like Problem.create" test_batch_gene_matches_problem_path;
+        case "dimension mismatches fail per gene" test_batch_dimension_mismatch_per_gene;
       ] );
     ( "resilience-checkpoint",
       [

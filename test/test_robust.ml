@@ -440,6 +440,24 @@ let test_qp_stall_status () =
   check_true "converges with the full budget"
     (converged.Optimize.Qp.status = Optimize.Qp.Converged)
 
+(* The raw solve turns the QP's iteration-limit exception into
+   Qp_stalled carrying the cap the solve ran to — it used to report 0,
+   so the error read "after 0 iterations". A NaN measurement (the raw
+   solve does not validate) keeps the interior point from converging. *)
+let test_raw_solve_stall_reports_cap () =
+  let poisoned =
+    Robust.Fault.apply (Robust.Fault.nan_at ~index:4 ()) (rng ()) (Lazy.force clean_data)
+  in
+  let cap = Deconv.Solver.default_policy.Deconv.Solver.qp_max_iter in
+  match Deconv.Solver.solve ~lambda:1e-4 (make_problem poisoned) with
+  | (_ : Deconv.Solver.estimate) -> Alcotest.fail "a NaN measurement cannot converge"
+  | exception Robust.Error.Error (Robust.Error.Qp_stalled { iterations } as e) ->
+    Alcotest.(check int) "iterations is the cap" cap iterations;
+    Alcotest.(check string) "message"
+      (Printf.sprintf "QP stalled after %d iterations without converging" cap)
+      (Robust.Error.to_string e)
+  | exception Robust.Error.Error e -> Alcotest.failf "expected qp_stalled, got %s" (Robust.Error.to_string e)
+
 (* ---------------- Lambda guard satellite ---------------- *)
 
 let test_lambda_skips_non_finite_candidates () =
@@ -567,6 +585,7 @@ let tests =
         case "duplicated time point survives" test_duplicate_time_kernel_recovered;
         case "report rendering" test_report_to_string;
         case "qp stall status" test_qp_stall_status;
+        case "raw solve stall reports the cap" test_raw_solve_stall_reports_cap;
       ] );
     ( "robust-pipeline",
       [
