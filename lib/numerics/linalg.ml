@@ -2,60 +2,89 @@ exception Singular of string
 
 type lu = { lu : Mat.t; pivots : int array; sign : float }
 
-let lu_factor a =
+(* The factor and solve kernels index the backing arrays directly, so no
+   element access boxes a float, and work in caller-owned storage, so the
+   QP's interior-point loop can refactor its KKT matrix every pass without
+   allocating. Their operation order is pinned by the bit-identity tests
+   against test/qp_reference.ml. *)
+let lu_factor_in_place a pivots =
   let n, m = Mat.dims a in
   assert (n = m);
-  let lu = Mat.copy a in
-  let pivots = Array.init n (fun i -> i) in
+  assert (Array.length pivots = n);
+  let d = a.Mat.data in
+  for i = 0 to n - 1 do
+    pivots.(i) <- i
+  done;
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* Partial pivoting: largest magnitude in column k at/below the diagonal. *)
     let pivot_row = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !pivot_row k) then pivot_row := i
+      if Float.abs d.((i * n) + k) > Float.abs d.((!pivot_row * n) + k) then pivot_row := i
     done;
+    let krow = k * n in
     if !pivot_row <> k then begin
-      let tmp = Mat.row lu k in
-      Mat.set_row lu k (Mat.row lu !pivot_row);
-      Mat.set_row lu !pivot_row tmp;
+      let prow = !pivot_row * n in
+      for j = 0 to n - 1 do
+        let t = d.(krow + j) in
+        d.(krow + j) <- d.(prow + j);
+        d.(prow + j) <- t
+      done;
       let tp = pivots.(k) in
       pivots.(k) <- pivots.(!pivot_row);
       pivots.(!pivot_row) <- tp;
       sign := -. !sign
     end;
-    let pivot = Mat.get lu k k in
+    let pivot = d.(krow + k) in
     if Float.equal pivot 0.0 then raise (Singular "lu_factor: zero pivot");
     for i = k + 1 to n - 1 do
-      let factor = Mat.get lu i k /. pivot in
-      Mat.set lu i k factor;
+      let irow = i * n in
+      let factor = d.(irow + k) /. pivot in
+      d.(irow + k) <- factor;
       if not (Float.equal factor 0.0) then
         for j = k + 1 to n - 1 do
-          Mat.set lu i j (Mat.get lu i j -. (factor *. Mat.get lu k j))
+          d.(irow + j) <- d.(irow + j) -. (factor *. d.(krow + j))
         done
     done
   done;
-  { lu; pivots; sign = !sign }
+  !sign
 
-let lu_solve { lu; pivots; _ } b =
+let lu_factor a =
+  let lu = Mat.copy a in
+  let pivots = Array.make a.Mat.rows 0 in
+  let sign = lu_factor_in_place lu pivots in
+  { lu; pivots; sign }
+
+let lu_solve_into lu pivots b x =
   let n = lu.Mat.rows in
   assert (Array.length b = n);
-  let x = Array.init n (fun i -> b.(pivots.(i))) in
+  assert (Array.length x = n);
+  let d = lu.Mat.data in
+  for i = 0 to n - 1 do
+    x.(i) <- b.(pivots.(i))
+  done;
   (* Forward substitution with unit lower triangle. *)
   for i = 1 to n - 1 do
+    let irow = i * n in
     let acc = ref x.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Mat.get lu i j *. x.(j))
+      acc := !acc -. (d.(irow + j) *. x.(j))
     done;
     x.(i) <- !acc
   done;
   (* Back substitution. *)
   for i = n - 1 downto 0 do
+    let irow = i * n in
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get lu i j *. x.(j))
+      acc := !acc -. (d.(irow + j) *. x.(j))
     done;
-    x.(i) <- !acc /. Mat.get lu i i
-  done;
+    x.(i) <- !acc /. d.(irow + i)
+  done
+
+let lu_solve { lu; pivots; _ } b =
+  let x = Array.make lu.Mat.rows 0.0 in
+  lu_solve_into lu pivots b x;
   x
 
 let solve a b = lu_solve (lu_factor a) b
@@ -84,43 +113,81 @@ let det a =
 
 type cholesky = Mat.t
 
-let cholesky_factor a =
+(* Writes the lower triangle of the factor into [l]; reads only entries of
+   [l] written earlier in the same call, so [l] may hold anything. *)
+let cholesky_factor_into a l =
   let n, m = Mat.dims a in
   assert (n = m);
-  let l = Mat.zeros n n in
+  assert (Mat.dims l = (n, n));
+  let ad = a.Mat.data and ld = l.Mat.data in
   for i = 0 to n - 1 do
+    let irow = i * n in
     for j = 0 to i do
-      let acc = ref (Mat.get a i j) in
+      let jrow = j * n in
+      let acc = ref ad.(irow + j) in
       for k = 0 to j - 1 do
-        acc := !acc -. (Mat.get l i k *. Mat.get l j k)
+        acc := !acc -. (ld.(irow + k) *. ld.(jrow + k))
       done;
       if i = j then begin
         if !acc <= 0.0 then raise (Singular "cholesky_factor: non-positive pivot");
-        Mat.set l i i (sqrt !acc)
+        ld.(irow + i) <- sqrt !acc
       end
-      else Mat.set l i j (!acc /. Mat.get l j j)
+      else ld.(irow + j) <- !acc /. ld.(jrow + j)
     done
-  done;
+  done
+
+let cholesky_factor a =
+  let l = Mat.zeros a.Mat.rows a.Mat.rows in
+  cholesky_factor_into a l;
   l
 
-let cholesky_solve l b =
+(* Forward substitution L y = b, in place over [y], against a
+   lower-triangular factor. *)
+let lower_solve_in_place (l : cholesky) y =
   let n = l.Mat.rows in
-  assert (Array.length b = n);
-  let y = Array.copy b in
+  assert (Array.length y = n);
+  let ld = l.Mat.data in
   for i = 0 to n - 1 do
     let acc = ref y.(i) in
+    let irow = i * n in
     for j = 0 to i - 1 do
-      acc := !acc -. (Mat.get l i j *. y.(j))
+      acc := !acc -. (ld.(irow + j) *. y.(j))
     done;
-    y.(i) <- !acc /. Mat.get l i i
-  done;
+    y.(i) <- !acc /. ld.(irow + i)
+  done
+
+(* Back substitution Lᵀ x = b, in place over [x], against the same factor. *)
+let lower_transpose_solve_in_place (l : cholesky) x =
+  let n = l.Mat.rows in
+  assert (Array.length x = n);
+  let ld = l.Mat.data in
   for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
+    let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get l j i *. y.(j))
+      acc := !acc -. (ld.((j * n) + i) *. x.(j))
     done;
-    y.(i) <- !acc /. Mat.get l i i
-  done;
+    x.(i) <- !acc /. ld.((i * n) + i)
+  done
+
+let lower_solve l b =
+  let y = Array.copy b in
+  lower_solve_in_place l y;
+  y
+
+let lower_transpose_solve l b =
+  let x = Array.copy b in
+  lower_transpose_solve_in_place l x;
+  x
+
+let cholesky_solve_into l b y =
+  assert (Array.length b = l.Mat.rows);
+  Array.blit b 0 y 0 (Array.length b);
+  lower_solve_in_place l y;
+  lower_transpose_solve_in_place l y
+
+let cholesky_solve l b =
+  let y = Array.make l.Mat.rows 0.0 in
+  cholesky_solve_into l b y;
   y
 
 let cholesky_log_det (l : cholesky) =
@@ -130,10 +197,19 @@ let cholesky_log_det (l : cholesky) =
   done;
   !acc
 
+let solve_spd_into a ~scratch ~pivots b x =
+  match cholesky_factor_into a scratch with
+  | () -> cholesky_solve_into scratch b x
+  | exception Singular _ ->
+    Array.blit a.Mat.data 0 scratch.Mat.data 0 (Array.length a.Mat.data);
+    ignore (lu_factor_in_place scratch pivots : float);
+    lu_solve_into scratch pivots b x
+
 let solve_spd a b =
-  match cholesky_factor a with
-  | l -> cholesky_solve l b
-  | exception Singular _ -> solve a b
+  let n = a.Mat.rows in
+  let x = Array.make n 0.0 in
+  solve_spd_into a ~scratch:(Mat.zeros n n) ~pivots:(Array.make n 0) b x;
+  x
 
 let qr_lstsq a b =
   let m, n = Mat.dims a in
@@ -188,40 +264,6 @@ let qr_lstsq a b =
     let rii = Mat.get r i i in
     if Float.equal rii 0.0 then raise (Singular "qr_lstsq: zero diagonal in R");
     x.(i) <- !acc /. rii
-  done;
-  x
-
-(* Forward substitution L y = b against a lower-triangular factor. The
-   inner loops index the backing array directly: these solves run 2n+n
-   times per spectral factorization, where cross-module Mat.get's boxed
-   float returns were a measurable share of the cost. *)
-let lower_solve (l : cholesky) b =
-  let n = l.Mat.rows in
-  assert (Array.length b = n);
-  let ld = l.Mat.data in
-  let y = Array.copy b in
-  for i = 0 to n - 1 do
-    let acc = ref y.(i) in
-    let irow = i * n in
-    for j = 0 to i - 1 do
-      acc := !acc -. (ld.(irow + j) *. y.(j))
-    done;
-    y.(i) <- !acc /. ld.(irow + i)
-  done;
-  y
-
-(* Back substitution Lᵀ x = b against the same lower-triangular factor. *)
-let lower_transpose_solve (l : cholesky) b =
-  let n = l.Mat.rows in
-  assert (Array.length b = n);
-  let ld = l.Mat.data in
-  let x = Array.copy b in
-  for i = n - 1 downto 0 do
-    let acc = ref x.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (ld.((j * n) + i) *. x.(j))
-    done;
-    x.(i) <- !acc /. ld.((i * n) + i)
   done;
   x
 

@@ -12,6 +12,18 @@ val lu_factor : Mat.t -> lu
 
 val lu_solve : lu -> Vec.t -> Vec.t
 
+val lu_factor_in_place : Mat.t -> int array -> float
+(** [lu_factor_in_place a pivots] overwrites the square [a] with its packed
+    LU factors (unit lower triangle implied) and [pivots] (length n) with
+    the row permutation, and returns the permutation's sign. Bit-identical
+    to {!lu_factor}, which runs it on a copy. Raises {!Singular} on an
+    exact zero pivot, leaving [a] partly factored. *)
+
+val lu_solve_into : Mat.t -> int array -> Vec.t -> Vec.t -> unit
+(** [lu_solve_into lu pivots b x] writes the solution of the system that
+    {!lu_factor_in_place} factored into [x]. [b] and [x] must be distinct
+    arrays. Bit-identical to {!lu_solve}. *)
+
 val solve : Mat.t -> Vec.t -> Vec.t
 (** [solve a b] solves the square system [a x = b] by LU. *)
 
@@ -35,6 +47,13 @@ val cholesky_log_det : cholesky -> float
 val solve_spd : Mat.t -> Vec.t -> Vec.t
 (** Solve with a symmetric positive-definite matrix via Cholesky; falls back
     to LU if the Cholesky pivots fail (semi-definite boundary cases). *)
+
+val solve_spd_into : Mat.t -> scratch:Mat.t -> pivots:int array -> Vec.t -> Vec.t -> unit
+(** [solve_spd_into a ~scratch ~pivots b x] is {!solve_spd} writing its
+    result into [x] (length n) and its factor into [scratch] (n × n,
+    distinct from [a]); [pivots] (length n) is used only by the LU
+    fallback. Allocates nothing unless the fallback runs. [a] and [b] are
+    left unchanged; [b] and [x] must be distinct arrays. *)
 
 val qr_lstsq : Mat.t -> Vec.t -> Vec.t
 (** Least-squares solution of an overdetermined system [a x ~ b]

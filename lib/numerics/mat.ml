@@ -77,19 +77,27 @@ let matmul a b =
   done;
   c
 
-let mv a x =
+let mv_into a x y =
   assert (a.cols = Array.length x);
-  Array.init a.rows (fun i ->
-      let acc = ref 0.0 in
-      let base = i * a.cols in
-      for j = 0 to a.cols - 1 do
-        acc := !acc +. (a.data.(base + j) *. x.(j))
-      done;
-      !acc)
+  assert (a.rows = Array.length y);
+  for i = 0 to a.rows - 1 do
+    let acc = ref 0.0 in
+    let base = i * a.cols in
+    for j = 0 to a.cols - 1 do
+      acc := !acc +. (a.data.(base + j) *. x.(j))
+    done;
+    y.(i) <- !acc
+  done
 
-let tmv a x =
+let mv a x =
+  let y = Array.make a.rows 0.0 in
+  mv_into a x y;
+  y
+
+let tmv_into a x y =
   assert (a.rows = Array.length x);
-  let y = Array.make a.cols 0.0 in
+  assert (a.cols = Array.length y);
+  Array.fill y 0 a.cols 0.0;
   for i = 0 to a.rows - 1 do
     let base = i * a.cols in
     let xi = x.(i) in
@@ -97,7 +105,11 @@ let tmv a x =
       for j = 0 to a.cols - 1 do
         y.(j) <- y.(j) +. (a.data.(base + j) *. xi)
       done
-  done;
+  done
+
+let tmv a x =
+  let y = Array.make a.cols 0.0 in
+  tmv_into a x y;
   y
 
 let gram a =
@@ -133,7 +145,7 @@ let trace m =
 
 let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
 
-let max_abs m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 m.data
+let max_abs m = Vec.norm_inf m.data
 
 let is_symmetric ?(tol = 1e-9) m =
   m.rows = m.cols

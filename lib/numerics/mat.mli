@@ -32,6 +32,13 @@ val mv : t -> Vec.t -> Vec.t
 val tmv : t -> Vec.t -> Vec.t
 (** [tmv a x] is [transpose a * x] without forming the transpose. *)
 
+val mv_into : t -> Vec.t -> Vec.t -> unit
+(** [mv_into a x y] writes [a * x] into [y], bit-identical to {!mv}. *)
+
+val tmv_into : t -> Vec.t -> Vec.t -> unit
+(** [tmv_into a x y] writes [transpose a * x] into [y], bit-identical to
+    {!tmv}. *)
+
 val gram : t -> t
 (** [gram a] is [aᵀa]. *)
 

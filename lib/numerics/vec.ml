@@ -56,7 +56,14 @@ let mean x =
 
 let norm2 x = sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun acc xi -> Float.max acc (Float.abs xi)) 0.0 x
+(* A loop rather than a fold: the fold's polymorphic accumulator boxes a
+   float per element, and the QP calls this on every iterate. *)
+let norm_inf x =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    acc := Float.max !acc (Float.abs x.(i))
+  done;
+  !acc
 
 let min x =
   assert (Array.length x > 0);

@@ -31,6 +31,10 @@ let rss_fields () =
 
 let read () = gc_fields () @ rss_fields ()
 
+(* [Gc.minor_words] adds the live young-generation allocation to the
+   domain's counter; [quick_stat] only sees it after a minor collection. *)
+let minor_words () = Gc.minor_words ()
+
 let sample () =
   if Export.tracing () then
     Export.emit (Export.Sample { Export.s_kind = "resource"; t_s = Clock.now (); values = read () })

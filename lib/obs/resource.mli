@@ -15,6 +15,13 @@
 val read : unit -> (string * float) list
 (** Current resource readings, as sample fields. *)
 
+val minor_words : unit -> float
+(** Words the calling domain has allocated on the minor heap so far, exact
+    to the word. The [minor_words] field of {!read} is the all-domain total
+    as of each domain's last minor collection, so it moves in steps of a
+    minor heap; this is the reading for an allocation guard around a short
+    single-domain computation. *)
+
 val sample : unit -> unit
 (** Emit one resource sample now (no-op when no sink is installed). *)
 

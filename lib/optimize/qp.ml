@@ -25,6 +25,24 @@ exception Infeasible of string
 
 let unconstrained h g = Linalg.solve_spd h (Vec.neg g)
 
+(* Writes the KKT matrix [H Cᵀ; C 0] into [kkt], (n+m) × (n+m), every
+   entry, so [kkt] may hold anything (the loop's previous LU factors). *)
+let kkt_into h c kkt =
+  let n = h.Mat.rows and m = c.Mat.rows in
+  let nk = n + m in
+  let hd = h.Mat.data and cd = c.Mat.data and kd = kkt.Mat.data in
+  for i = 0 to n - 1 do
+    Array.blit hd (i * n) kd (i * nk) n
+  done;
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let cij = cd.((i * n) + j) in
+      kd.(((n + i) * nk) + j) <- cij;
+      kd.((j * nk) + n + i) <- cij
+    done;
+    Array.fill kd (((n + i) * nk) + n) m 0.0
+  done
+
 (* KKT system [H Cᵀ; C 0] [x; ν] = [−g; d]. *)
 let solve_equality h g ~c ~d =
   let n = h.Mat.rows in
@@ -32,43 +50,71 @@ let solve_equality h g ~c ~d =
   assert (c.Mat.cols = n);
   assert (Array.length d = m);
   let kkt = Mat.zeros (n + m) (n + m) in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set kkt i j (Mat.get h i j)
-    done
-  done;
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      Mat.set kkt (n + i) j (Mat.get c i j);
-      Mat.set kkt j (n + i) (Mat.get c i j)
-    done
-  done;
+  kkt_into h c kkt;
   let rhs = Array.init (n + m) (fun i -> if i < n then -.g.(i) else d.(i - n)) in
   let sol = Linalg.solve_sym_indefinite kkt rhs in
   (Array.sub sol 0 n, Array.sub sol n m)
 
+(* The one owner of the stationarity residual r = Hx + g − Cᵀy − Aᵀz:
+   the interior-point loop's convergence test, every solve's final
+   [kkt_residual] and the direct solves all go through here. [tmp]
+   (length n) holds each transposed product. *)
+let dual_residual_into problem x y z ~tmp r =
+  Mat.mv_into problem.h x r;
+  let g = problem.g in
+  for i = 0 to Array.length r - 1 do
+    r.(i) <- r.(i) +. g.(i)
+  done;
+  (match problem.c_eq with
+  | Some c ->
+    Mat.tmv_into c y tmp;
+    Vec.axpy (-1.0) tmp r
+  | None -> ());
+  match problem.a_ineq with
+  | Some a ->
+    Mat.tmv_into a z tmp;
+    Vec.axpy (-1.0) tmp r
+  | None -> ()
+
+(* The scale [kkt_residual] is reported against: the problem magnitude. *)
+let stationarity_scale problem =
+  Float.max 1.0 (Float.max (Vec.norm_inf problem.g) (Mat.max_abs problem.h))
+
 let stationarity_residual problem x nu z =
-  (* ∇f − C_eqᵀν − A_ineqᵀz, scaled by the problem magnitude. *)
-  let r = Vec.add (Mat.mv problem.h x) problem.g in
-  (match problem.c_eq with Some c -> Vec.axpy (-1.0) (Mat.tmv c nu) r | None -> ());
-  (match problem.a_ineq with Some a -> Vec.axpy (-1.0) (Mat.tmv a z) r | None -> ());
-  let scale = Float.max 1.0 (Float.max (Vec.norm_inf problem.g) (Mat.max_abs problem.h)) in
-  Vec.norm_inf r /. scale
+  let n = problem.h.Mat.rows in
+  let r = Vec.zeros n in
+  dual_residual_into problem x nu z ~tmp:(Vec.zeros n) r;
+  Vec.norm_inf r /. stationarity_scale problem
 
 (* Infeasible-start primal-dual path following for the inequality case.
    [sp] is the enclosing qp.solve span: each pass of the main loop emits
    one "qp.iteration" point on it, so a trace replays the convergence
-   trajectory and the point count equals [solution.iterations]. *)
+   trajectory and the point count equals [solution.iterations].
+
+   Every buffer the loop touches is allocated once, below, before the
+   first pass; a pass only writes into them, so its allocation does not
+   grow with the problem size. Keep each operation and its order: the
+   results must stay bit-identical to the reference loop the qp suite
+   compares against (test/qp_reference.ml). *)
 let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_stall problem
     a b =
   let n = problem.h.Mat.rows in
   let m_ineq = a.Mat.rows in
   let n_eq = match problem.c_eq with Some c -> c.Mat.rows | None -> 0 in
   let d_eq = match problem.d_eq with Some d -> d | None -> [||] in
-  let x = ref (Vec.zeros n) in
-  let y = ref (Vec.zeros n_eq) in
-  let s = ref (Vec.ones m_ineq) in
-  let z = ref (Vec.ones m_ineq) in
+  let nk = n + n_eq in
+  (* Iterate, residuals and step. *)
+  let x = Vec.zeros n and y = Vec.zeros n_eq in
+  let s = Vec.ones m_ineq and z = Vec.ones m_ineq in
+  let r_dual = Vec.zeros n and r_eq = Vec.zeros n_eq and r_ineq = Vec.zeros m_ineq in
+  let dx = Vec.zeros n and dy = Vec.zeros n_eq in
+  let ds = Vec.zeros m_ineq and dz = Vec.zeros m_ineq in
+  (* Scratch: S⁻¹Z, the weights σμS⁻¹e − z − S⁻¹Z·r_ineq, Aᵀ/Cᵀ products,
+     the reduced matrix H + AᵀS⁻¹ZA, and the linear system it feeds. *)
+  let s_inv_z = Vec.zeros m_ineq and corr = Vec.zeros m_ineq and tmp = Vec.zeros n in
+  let h_aug = Mat.zeros n n in
+  let kkt = Mat.zeros nk nk and pivots = Array.make nk 0 in
+  let rhs = Vec.zeros nk and sol = Vec.zeros nk in
   (match warm_start with
   | None -> ()
   | Some w ->
@@ -92,33 +138,34 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
          one decade into the cold start's μ schedule, far enough that a
          good hint saves the early centering passes, conservative enough
          that a mediocre one costs nothing. *)
-      x := Vec.copy w.x0;
+      Array.blit w.x0 0 x 0 n;
       let slack_floor = 1e-2 *. hint_scale in
       let mu0 = 1e-1 in
       for i = 0 to m_ineq - 1 do
-        !s.(i) <- Float.max (ax.(i) -. b.(i)) slack_floor;
-        !z.(i) <- mu0 /. !s.(i)
+        s.(i) <- Float.max (ax.(i) -. b.(i)) slack_floor;
+        z.(i) <- mu0 /. s.(i)
       done;
       (* Constraints the caller believes are active get a unit dual so the
          first step does not immediately walk off the active face. *)
-      List.iter
-        (fun i -> if i >= 0 && i < m_ineq then !z.(i) <- Float.max !z.(i) 1.0)
-        w.active0
+      List.iter (fun i -> if i >= 0 && i < m_ineq then z.(i) <- Float.max z.(i) 1.0) w.active0
     end);
   let mf = float_of_int m_ineq in
-  let duality_gap () = Vec.dot !s !z /. mf in
+  let duality_gap () = Vec.dot s z /. mf in
   let residuals () =
     (* r_dual = Hx + g − Cᵀy − Aᵀz; r_eq = Cx − d; r_ineq = Ax − s − b. *)
-    let r_dual = Vec.add (Mat.mv problem.h !x) problem.g in
-    (match problem.c_eq with Some c -> Vec.axpy (-1.0) (Mat.tmv c !y) r_dual | None -> ());
-    Vec.axpy (-1.0) (Mat.tmv a !z) r_dual;
-    let r_eq =
-      match problem.c_eq with
-      | Some c -> Vec.sub (Mat.mv c !x) d_eq
-      | None -> [||]
-    in
-    let r_ineq = Vec.sub (Vec.sub (Mat.mv a !x) !s) b in
-    (r_dual, r_eq, r_ineq)
+    dual_residual_into problem x y z ~tmp r_dual;
+    (match problem.c_eq with
+    | Some c ->
+      Mat.mv_into c x r_eq;
+      assert (Array.length d_eq = n_eq);
+      for i = 0 to n_eq - 1 do
+        r_eq.(i) <- r_eq.(i) -. d_eq.(i)
+      done
+    | None -> ());
+    Mat.mv_into a x r_ineq;
+    for i = 0 to m_ineq - 1 do
+      r_ineq.(i) <- r_ineq.(i) -. s.(i) -. b.(i)
+    done
   in
   let scale =
     Float.max 1.0
@@ -129,17 +176,26 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
   let converged = ref false in
   (* Scaled worst-case KKT residual — the quantity the convergence test
      compares against [tol], so the telemetry curve mirrors the stop rule. *)
-  let kkt_of r_dual r_eq r_ineq =
+  let kkt_of () =
     Float.max (Vec.norm_inf r_dual)
       (Float.max
          (if n_eq = 0 then 0.0 else Vec.norm_inf r_eq)
          (Vec.norm_inf r_ineq))
     /. scale
   in
+  (* Fraction-to-boundary step size. *)
+  let step_for v dv =
+    let alpha = ref 1.0 in
+    for i = 0 to Array.length v - 1 do
+      if dv.(i) < 0.0 then alpha := Float.min !alpha (-0.995 *. v.(i) /. dv.(i))
+    done;
+    !alpha
+  in
+  let hd = h_aug.Mat.data and ad = a.Mat.data in
   while (not !converged) && !iterations < max_iter do
     incr iterations;
     (match on_iteration with Some f -> f !iterations | None -> ());
-    let r_dual, r_eq, r_ineq = residuals () in
+    residuals ();
     let mu = duality_gap () in
     if
       mu < tol *. scale
@@ -150,7 +206,7 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
       converged := true;
       if Obs.Span.enabled () then
         Obs.Span.point sp "qp.iteration" ~iter:!iterations
-          [ ("kkt_residual", kkt_of r_dual r_eq r_ineq); ("mu", mu) ]
+          [ ("kkt_residual", kkt_of ()); ("mu", mu) ]
     end
     else begin
       (* Centering parameter: aggressive once residuals are small. *)
@@ -158,62 +214,68 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
       (* Reduced system over (Δx, Δy):
          (H + AᵀS⁻¹ZA)Δx − CᵀΔy = −r_dual + Aᵀ(σμS⁻¹e − z − S⁻¹Z r_ineq)
          C Δx = −r_eq. *)
-      let s_inv_z = Array.init m_ineq (fun i -> !z.(i) /. !s.(i)) in
-      let h_aug = Mat.copy problem.h in
       for i = 0 to m_ineq - 1 do
-        let row = Mat.row a i in
-        let w = s_inv_z.(i) in
+        s_inv_z.(i) <- z.(i) /. s.(i)
+      done;
+      Array.blit problem.h.Mat.data 0 hd 0 (n * n);
+      for i = 0 to m_ineq - 1 do
+        let w = s_inv_z.(i) and base = i * n in
         for p = 0 to n - 1 do
-          if not (Float.equal row.(p) 0.0) then
+          let a_ip = ad.(base + p) in
+          if not (Float.equal a_ip 0.0) then begin
+            let w_a_ip = w *. a_ip and prow = p * n in
             for q = 0 to n - 1 do
-              Mat.set h_aug p q (Mat.get h_aug p q +. (w *. row.(p) *. row.(q)))
+              hd.(prow + q) <- hd.(prow + q) +. (w_a_ip *. ad.(base + q))
             done
+          end
         done
       done;
-      let rhs_extra =
-        (* Aᵀ(σμS⁻¹e − z − S⁻¹Z·r_ineq) *)
-        let v =
-          Array.init m_ineq (fun i ->
-              (sigma *. mu /. !s.(i)) -. !z.(i) -. (s_inv_z.(i) *. r_ineq.(i)))
-        in
-        Mat.tmv a v
-      in
-      let rhs_x = Vec.add (Vec.neg r_dual) rhs_extra in
-      let dx, dy =
-        match problem.c_eq with
-        | None -> (Linalg.solve_spd h_aug rhs_x, [||])
-        | Some c ->
-          (* We need [H_aug −Cᵀ; C 0][Δx; Δy] = [rhs_x; −r_eq], while
-             solve_equality solves [H Cᵀ; C 0][x; ν] = [−g; d]. Passing
-             g = −rhs_x, d = −r_eq yields the same Δx with ν = −Δy. *)
-          let dx, multipliers = solve_equality h_aug (Vec.neg rhs_x) ~c ~d:(Vec.neg r_eq) in
-          (dx, Vec.neg multipliers)
-      in
-      let ds = Vec.add (Mat.mv a dx) r_ineq in
-      let dz =
-        Array.init m_ineq (fun i ->
-            ((sigma *. mu) -. (!z.(i) *. !s.(i)) -. (!z.(i) *. ds.(i))) /. !s.(i))
-      in
-      (* Fraction-to-boundary step sizes. *)
-      let step_for v dv =
-        let alpha = ref 1.0 in
-        for i = 0 to Array.length v - 1 do
-          if dv.(i) < 0.0 then alpha := Float.min !alpha (-0.995 *. v.(i) /. dv.(i))
-        done;
-        !alpha
-      in
-      let alpha_p = step_for !s ds in
-      let alpha_d = step_for !z dz in
-      Vec.axpy alpha_p dx !x;
+      for i = 0 to m_ineq - 1 do
+        corr.(i) <- (sigma *. mu /. s.(i)) -. z.(i) -. (s_inv_z.(i) *. r_ineq.(i))
+      done;
+      Mat.tmv_into a corr tmp;
+      (* rhs_x = −r_dual + Aᵀ·corr, in the first n entries of [rhs]. *)
+      for j = 0 to n - 1 do
+        rhs.(j) <- (-1.0 *. r_dual.(j)) +. tmp.(j)
+      done;
       (match problem.c_eq with
-      | Some _ -> Vec.axpy alpha_d dy !y
+      | None -> Linalg.solve_spd_into h_aug ~scratch:kkt ~pivots rhs dx
+      | Some c ->
+        (* [H_aug −Cᵀ; C 0][Δx; Δy] = [rhs_x; −r_eq] is solved as
+           [H_aug Cᵀ; C 0][Δx; ν] = [rhs_x; −r_eq] with Δy = −ν. The
+           double negation of rhs_x is not an identity on NaN (the
+           multiply keeps a NaN's sign, the negation flips it); it stays
+           so a NaN iterate carries the reference loop's bits. *)
+        kkt_into h_aug c kkt;
+        for j = 0 to n - 1 do
+          rhs.(j) <- -.(-1.0 *. rhs.(j))
+        done;
+        for i = 0 to n_eq - 1 do
+          rhs.(n + i) <- -1.0 *. r_eq.(i)
+        done;
+        ignore (Linalg.lu_factor_in_place kkt pivots : float);
+        Linalg.lu_solve_into kkt pivots rhs sol;
+        Array.blit sol 0 dx 0 n;
+        for i = 0 to n_eq - 1 do
+          dy.(i) <- -1.0 *. sol.(n + i)
+        done);
+      Mat.mv_into a dx ds;
+      for i = 0 to m_ineq - 1 do
+        ds.(i) <- ds.(i) +. r_ineq.(i);
+        dz.(i) <- ((sigma *. mu) -. (z.(i) *. s.(i)) -. (z.(i) *. ds.(i))) /. s.(i)
+      done;
+      let alpha_p = step_for s ds in
+      let alpha_d = step_for z dz in
+      Vec.axpy alpha_p dx x;
+      (match problem.c_eq with
+      | Some _ -> Vec.axpy alpha_d dy y
       | None -> ());
-      Vec.axpy alpha_p ds !s;
-      Vec.axpy alpha_d dz !z;
+      Vec.axpy alpha_p ds s;
+      Vec.axpy alpha_d dz z;
       if Obs.Span.enabled () then
         Obs.Span.point sp "qp.iteration" ~iter:!iterations
           [
-            ("kkt_residual", kkt_of r_dual r_eq r_ineq);
+            ("kkt_residual", kkt_of ());
             ("mu", mu);
             ("alpha_p", alpha_p);
             ("alpha_d", alpha_d);
@@ -223,14 +285,19 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
   if (not !converged) && fail_on_stall then
     raise (Infeasible "Qp.solve: interior-point iteration limit");
   let active =
-    let threshold = sqrt tol *. Float.max 1.0 (Vec.norm_inf !s) in
-    List.filter (fun i -> !s.(i) < threshold) (List.init m_ineq (fun i -> i))
+    let threshold = sqrt tol *. Float.max 1.0 (Vec.norm_inf s) in
+    let acc = ref [] in
+    for i = m_ineq - 1 downto 0 do
+      if s.(i) < threshold then acc := i :: !acc
+    done;
+    !acc
   in
+  dual_residual_into problem x y z ~tmp r_dual;
   {
-    x = !x;
+    x;
     active;
     iterations = !iterations;
-    kkt_residual = stationarity_residual problem !x !y !z;
+    kkt_residual = Vec.norm_inf r_dual /. stationarity_scale problem;
     status = (if !converged then Converged else Stalled);
   }
 

@@ -9,7 +9,17 @@
     (infeasible-start path following with a Mehrotra-style centering
     parameter), which is robust to the heavy degeneracy of "function ≥ 0 on
     a fine grid" constraint sets. [H] must be symmetric positive definite
-    (the deconvolution problem guarantees this through the λ-regularizer). *)
+    (the deconvolution problem guarantees this through the λ-regularizer).
+
+    The interior-point method allocates one workspace per solve — the
+    iterate, the residuals, the step, the reduced matrix H + AᵀS⁻¹ZA and
+    the (n + m_eq)² KKT matrix with its pivots — and each pass only writes
+    into it: the reduced system is accumulated and the KKT matrix
+    assembled and LU-factored in place, so a pass allocates a few boxed
+    floats and nothing that grows with the problem. Its results ([x],
+    [active], [iterations], [kkt_residual], [status], and when it raises
+    {!Infeasible}) are bit-identical to the earlier loop that allocated
+    fresh matrices every pass. *)
 
 open Numerics
 

@@ -137,6 +137,101 @@ let prop_solve_residual =
       | x -> Vec.norm_inf (Vec.sub (Mat.mv a x) b) < 1e-6
       | exception Linalg.Singular _ -> true)
 
+(* --- Bit identity of the direct-indexed kernels against Qp_reference --- *)
+
+module Ref = Qp_reference.Linalg
+
+let bits v = Array.map Int64.bits_of_float v
+let check_bits msg expected actual = Alcotest.(check (array int64)) msg (bits expected) (bits actual)
+
+(* Pivots on every column: the largest entry of each column sits below the
+   diagonal, and the diagonal starts at zero. *)
+let pivoting_matrix () =
+  let rng = Rng.create 211 in
+  let n = 7 in
+  Mat.init n n (fun i j ->
+      if i = j then 0.0
+      else if i = (j + 3) mod n then 10.0 +. Rng.uniform rng ~lo:0.0 ~hi:1.0
+      else Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+
+let rhs_for n = Array.init n (fun i -> Float.sin (float_of_int (i + 1)))
+
+let test_lu_bits_pivoting () =
+  let a = pivoting_matrix () in
+  let n = a.Mat.rows in
+  let b = rhs_for n in
+  let expected = Ref.lu_factor a in
+  check_true "reference pivots" (expected.Ref.pivots <> Array.init n (fun i -> i));
+  check_bits "lu_factor/lu_solve" (Ref.lu_solve expected b) (Linalg.lu_solve (Linalg.lu_factor a) b);
+  check_bits "solve" (Ref.solve a b) (Linalg.solve a b);
+  let ref_det =
+    let acc = ref expected.Ref.sign in
+    for i = 0 to n - 1 do
+      acc := !acc *. Mat.get expected.Ref.lu i i
+    done;
+    !acc
+  in
+  check_bits "det" [| ref_det |] [| Linalg.det a |];
+  (* The in-place kernels on caller storage: same factors, same pivots. *)
+  let lu = Mat.copy a and pivots = Array.make n (-1) in
+  let sign = Linalg.lu_factor_in_place lu pivots in
+  check_bits "in-place factors" expected.Ref.lu.Mat.data lu.Mat.data;
+  Alcotest.(check (array int)) "in-place pivots" expected.Ref.pivots pivots;
+  check_bits "in-place sign" [| expected.Ref.sign |] [| sign |];
+  let x = Array.make n Float.nan in
+  Linalg.lu_solve_into lu pivots b x;
+  check_bits "lu_solve_into" (Ref.lu_solve expected b) x
+
+let test_lu_bits_singular () =
+  let a = Mat.of_rows [| [| 1.0; 2.0; 3.0 |]; [| 2.0; 4.0; 6.0 |]; [| 0.0; 1.0; 1.0 |] |] in
+  let message f = match f () with _ -> None | exception Linalg.Singular m -> Some m in
+  let expected = message (fun () -> Ref.lu_factor a) in
+  check_true "reference raises Singular" (Option.is_some expected);
+  Alcotest.(check (option string)) "lu_factor" expected (message (fun () -> Linalg.lu_factor a));
+  Alcotest.(check (option string))
+    "lu_factor_in_place" expected
+    (message (fun () -> Linalg.lu_factor_in_place (Mat.copy a) (Array.make 3 0)))
+
+let test_cholesky_bits () =
+  let rng = Rng.create 223 in
+  let a = random_spd rng 8 in
+  let b = rhs_for 8 in
+  let expected = Ref.cholesky_factor a in
+  let l = Linalg.cholesky_factor a in
+  check_bits "cholesky_solve" (Ref.cholesky_solve expected b) (Linalg.cholesky_solve l b);
+  let ref_log_det =
+    let acc = ref 0.0 in
+    for i = 0 to 7 do
+      acc := !acc +. (2.0 *. log (Mat.get expected i i))
+    done;
+    !acc
+  in
+  check_bits "log det" [| ref_log_det |] [| Linalg.cholesky_log_det l |];
+  check_bits "solve_spd" (Ref.solve_spd a b) (Linalg.solve_spd a b);
+  let indefinite = Mat.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
+  let message f = match f () with _ -> None | exception Linalg.Singular m -> Some m in
+  Alcotest.(check (option string))
+    "non-positive pivot"
+    (message (fun () -> Ref.cholesky_factor indefinite))
+    (message (fun () -> Linalg.cholesky_factor indefinite))
+
+(* solve_spd_into falls back to LU on a non-positive Cholesky pivot; the
+   result must not depend on what the scratch buffers held before. *)
+let test_solve_spd_fallback_bits () =
+  let a = Mat.of_rows [| [| 1.0; 2.0; 0.5 |]; [| 2.0; 1.0; -1.0 |]; [| 0.5; -1.0; 3.0 |] |] in
+  let b = rhs_for 3 in
+  check_true "reference Cholesky fails"
+    (match Ref.cholesky_factor a with _ -> false | exception Linalg.Singular _ -> true);
+  let expected = Ref.solve_spd a b in
+  check_bits "solve_spd fallback" expected (Linalg.solve_spd a b);
+  let scratch = Mat.make 3 3 Float.nan and pivots = Array.make 3 7 in
+  let x = Array.make 3 Float.infinity in
+  Linalg.solve_spd_into a ~scratch ~pivots b x;
+  check_bits "solve_spd_into fallback, dirty scratch" expected x;
+  let spd = random_spd (Rng.create 227) 3 in
+  Linalg.solve_spd_into spd ~scratch ~pivots b x;
+  check_bits "solve_spd_into Cholesky after fallback" (Ref.solve_spd spd b) x
+
 let tests =
   [
     ( "linalg",
@@ -158,5 +253,9 @@ let tests =
         case "condition number" test_condition_spd;
         case "solve many" test_solve_many;
         prop_solve_residual;
+        case "bit-identical: LU with pivoting" test_lu_bits_pivoting;
+        case "bit-identical: LU singular" test_lu_bits_singular;
+        case "bit-identical: Cholesky and solve_spd" test_cholesky_bits;
+        case "bit-identical: solve_spd fallback" test_solve_spd_fallback_bits;
       ] );
   ]

@@ -114,6 +114,154 @@ let prop_ipm_matches_projection =
       let expected = Array.map (fun v -> Float.max v 0.0) c in
       Vec.approx_equal ~tol:1e-5 expected solution.Optimize.Qp.x)
 
+(* --- Bit identity against the pre-workspace loop (Qp_reference) --- *)
+
+(* The perfbench shape: a natural-spline basis with 12 knots on a 201-bin
+   phase grid (203 positivity rows with the endpoints), 13 measurement
+   times, and — when [equalities] — the 2 eq. 12-19 rows. The data are a
+   Gaussian pulse pushed through the kernel, so positivity binds on the
+   flat stretches. *)
+let params = Cellpop.Params.paper_2011
+
+let kernel =
+  lazy
+    (Cellpop.Kernel.estimate params ~rng:(Rng.create 14) ~n_cells:400
+       ~times:Dataio.Datasets.lv_measurement_times ~n_phi:201)
+
+let shaped_qp ?(lambda = 1e-4) ~basis ~equalities () =
+  let kernel = Lazy.force kernel in
+  let problem =
+    Deconv.Problem.template ~use_conservation:equalities ~use_rate_continuity:equalities ~kernel
+      ~basis ~params ()
+  in
+  let pulse = Biomodels.Gene_profile.gaussian_pulse ~center:0.4 ~width:0.08 ~height:3.0 () in
+  let measurements = Deconv.Forward.apply_fn kernel pulse in
+  let problem = Deconv.Problem.with_data problem measurements in
+  let a = Deconv.Problem.design problem and w = Deconv.Problem.weights problem in
+  let normal =
+    Optimize.Ridge.normal_matrix ~a ~weights:w ~penalty:(Deconv.Problem.penalty problem) ~lambda
+  in
+  let zeros = Option.map (fun (c : Mat.t) -> Vec.zeros c.Mat.rows) in
+  let c_eq = problem.Deconv.Problem.equality_rows in
+  let a_ineq = problem.Deconv.Problem.positivity_rows in
+  {
+    Optimize.Qp.h = Mat.scale 2.0 normal;
+    g = Vec.scale (-2.0) (Mat.tmv a (Vec.mul w measurements));
+    c_eq;
+    d_eq = zeros c_eq;
+    a_ineq;
+    b_ineq = zeros a_ineq;
+  }
+
+let natural12 = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:12
+let perf_qp = lazy (shaped_qp ~basis:natural12 ~equalities:true ())
+let perf_qp_no_eq = lazy (shaped_qp ~basis:natural12 ~equalities:false ())
+
+let bspline_qp =
+  lazy (shaped_qp ~basis:(Spline.Bspline.create ~lo:0.0 ~hi:1.0 ~num_basis:12) ~equalities:true ())
+
+let bits = Int64.bits_of_float
+
+let positivity_rows (qp : Optimize.Qp.problem) =
+  match qp.Optimize.Qp.a_ineq with
+  | Some a -> a
+  | None -> Alcotest.fail "expected positivity rows"
+
+let check_same_bits name (expected : Optimize.Qp.solution) (actual : Optimize.Qp.solution) =
+  let open Optimize.Qp in
+  Alcotest.(check (array int64)) (name ^ ": x") (Array.map bits expected.x) (Array.map bits actual.x);
+  Alcotest.(check (list int)) (name ^ ": active") expected.active actual.active;
+  Alcotest.(check int) (name ^ ": iterations") expected.iterations actual.iterations;
+  Alcotest.(check int64) (name ^ ": kkt_residual") (bits expected.kkt_residual)
+    (bits actual.kkt_residual);
+  check_true (name ^ ": status") (expected.status = actual.status)
+
+(* Runs both solvers with the same options; an [Infeasible] from one must
+   be an [Infeasible] with the same message from the other. *)
+let check_matches_reference ?warm_start ?max_iter ?fail_on_stall name qp =
+  let run f = match f () with sol -> Ok sol | exception Optimize.Qp.Infeasible msg -> Error msg in
+  let expected = run (fun () -> Qp_reference.solve ?warm_start ?max_iter ?fail_on_stall qp) in
+  let actual = run (fun () -> Optimize.Qp.solve ?warm_start ?max_iter ?fail_on_stall qp) in
+  match (expected, actual) with
+  | Ok e, Ok a ->
+    check_same_bits name e a;
+    e
+  | Error e, Error a ->
+    Alcotest.(check string) (name ^ ": Infeasible message") e a;
+    Alcotest.failf "%s: both raised Infeasible; expected a solution" name
+  | Ok _, Error msg -> Alcotest.failf "%s: reference solved, workspace loop raised %s" name msg
+  | Error msg, Ok _ -> Alcotest.failf "%s: reference raised %s, workspace loop solved" name msg
+
+let test_bits_perf_shape () =
+  let qp = Lazy.force perf_qp in
+  let cold = check_matches_reference "cold" qp in
+  check_true "cold solve converged" (cold.Optimize.Qp.status = Optimize.Qp.Converged);
+  check_true "positivity binds" (cold.Optimize.Qp.active <> []);
+  (* Warm starts: the unconstrained minimizer (the spectral hint's shape),
+     and the cold solution with its active set, which also exercises the
+     active0 dual floor. *)
+  let x0 = Optimize.Qp.unconstrained qp.Optimize.Qp.h qp.Optimize.Qp.g in
+  ignore (check_matches_reference ~warm_start:{ Optimize.Qp.x0; active0 = [] } "warm" qp);
+  let hint = { Optimize.Qp.x0 = cold.Optimize.Qp.x; active0 = cold.Optimize.Qp.active } in
+  let warm = check_matches_reference ~warm_start:hint "warm from solution" qp in
+  check_true "hint adopted (fewer passes than cold)"
+    (warm.Optimize.Qp.iterations < cold.Optimize.Qp.iterations)
+
+let test_bits_no_equalities () =
+  let qp = Lazy.force perf_qp_no_eq in
+  check_true "no equality rows" (Option.is_none qp.Optimize.Qp.c_eq);
+  ignore (check_matches_reference "solve_spd path" qp)
+
+let test_bits_zero_skip () =
+  let qp = Lazy.force bspline_qp in
+  let a = positivity_rows qp in
+  check_true "B-spline rows have exact zeros"
+    (Array.exists (fun v -> Float.equal v 0.0) a.Mat.data);
+  ignore (check_matches_reference "B-spline" qp)
+
+let test_bits_iteration_cap () =
+  let qp = Lazy.force perf_qp in
+  let stalled = check_matches_reference ~max_iter:3 ~fail_on_stall:false "capped" qp in
+  check_true "capped solve stalls" (stalled.Optimize.Qp.status = Optimize.Qp.Stalled);
+  let raised solve =
+    match solve () with
+    | _ -> None
+    | exception Optimize.Qp.Infeasible msg -> Some msg
+  in
+  let expected = raised (fun () -> Qp_reference.solve ~max_iter:3 ~fail_on_stall:true qp) in
+  let actual = raised (fun () -> Optimize.Qp.solve ~max_iter:3 ~fail_on_stall:true qp) in
+  check_true "reference raises Infeasible" (Option.is_some expected);
+  Alcotest.(check (option string)) "same Infeasible" expected actual
+
+(* --- Allocation guard --- *)
+
+(* A pass of the interior-point loop writes into buffers allocated once per
+   solve, so the words it allocates must not scale with m_ineq × n: the
+   old loop copied H, every inequality row and a fresh KKT matrix each
+   pass, about 100× the bound below. Measured as the difference between
+   two iteration caps on the same unconverged solve, so the once-per-solve
+   buffers cancel. *)
+let words_at_cap qp cap =
+  let before = Obs.Resource.minor_words () in
+  let sol = Optimize.Qp.solve ~max_iter:cap ~fail_on_stall:false qp in
+  let after = Obs.Resource.minor_words () in
+  Alcotest.(check int) "ran to the cap" cap sol.Optimize.Qp.iterations;
+  after -. before
+
+let check_per_iteration_words name qp =
+  let n = qp.Optimize.Qp.h.Mat.rows in
+  let m_ineq = (positivity_rows qp).Mat.rows in
+  let lo = 2 and hi = 10 in
+  ignore (words_at_cap qp hi);
+  let per_pass = (words_at_cap qp hi -. words_at_cap qp lo) /. float_of_int (hi - lo) in
+  let bound = float_of_int (n + m_ineq) in
+  if per_pass > bound then
+    Alcotest.failf "%s: %.0f words per extra pass, bound %.0f (n + m_ineq)" name per_pass bound
+
+let test_no_per_iteration_allocation () =
+  check_per_iteration_words "with equalities" (Lazy.force perf_qp);
+  check_per_iteration_words "without equalities" (Lazy.force perf_qp_no_eq)
+
 let tests =
   [
     ( "qp",
@@ -128,5 +276,10 @@ let tests =
         case "redundant inequality grid" test_many_redundant_inequalities;
         case "kkt residual and feasibility" test_kkt_residual_small;
         prop_ipm_matches_projection;
+        case "bit-identical: perfbench shape, cold and warm" test_bits_perf_shape;
+        case "bit-identical: no equality rows" test_bits_no_equalities;
+        case "bit-identical: zero entries in A" test_bits_zero_skip;
+        case "bit-identical: iteration cap" test_bits_iteration_cap;
+        case "no per-iteration allocation" test_no_per_iteration_allocation;
       ] );
   ]
