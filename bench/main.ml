@@ -1288,6 +1288,16 @@ let micro () =
     Mat.add a (Mat.scale 40.0 (Mat.identity 40))
   in
   let rhs = Array.init 40 (fun i -> Float.sin (float_of_int i)) in
+  (* The interior-point kernels at the perfbench shape: positivity on the
+     201 bin centers and both endpoints (203 rows) of the 12-function
+     natural-spline basis, slack ratios spread over twelve decades. *)
+  let grid = Array.init 203 (fun i -> if i = 0 then 0.0 else if i = 202 then 1.0 else (float_of_int i -. 0.5) /. 201.0) in
+  let positivity = Deconv.Constraints.positivity_rows basis ~grid in
+  let qp_h = Mat.add (Spline.Penalty.second_derivative basis) (Mat.identity basis.Spline.Basis.size) in
+  let slack_ratios = Array.init 203 (fun i -> 10.0 ** float_of_int ((i mod 13) - 6)) in
+  let h_aug = Mat.zeros basis.Spline.Basis.size basis.Spline.Basis.size in
+  let coeffs = Array.init basis.Spline.Basis.size (fun j -> Float.cos (float_of_int j)) in
+  let rows_out = Vec.zeros 203 and cols_out = Vec.zeros basis.Spline.Basis.size in
   let tests =
     [
       (* One Test.make per reproduced figure: the dominating computation of
@@ -1349,6 +1359,14 @@ let micro () =
       Test.make ~name:"linalg_cholesky_40"
         (Staged.stage (fun () ->
              ignore (Linalg.cholesky_solve (Linalg.cholesky_factor spd) rhs)));
+      (* One interior-point pass forms the reduced matrix H + AᵀS⁻¹ZA once
+         and runs two A and two Aᵀ products; together they are most of a
+         pass. *)
+      Test.make ~name:"qp_reduced_accumulate"
+        (Staged.stage (fun () -> Optimize.Qp.reduced_into ~h:qp_h ~a:positivity ~w:slack_ratios h_aug));
+      Test.make ~name:"mat_tmv_203x12"
+        (Staged.stage (fun () -> Mat.tmv_into positivity slack_ratios cols_out));
+      Test.make ~name:"mat_mv_203x12" (Staged.stage (fun () -> Mat.mv_into positivity coeffs rows_out));
       Test.make ~name:"rk45_lv_one_period"
         (Staged.stage (fun () ->
              ignore

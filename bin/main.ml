@@ -610,7 +610,9 @@ let trace_summarize_cmd =
   in
   Cmd.v
     (Cmd.info "summarize"
-       ~doc:"Render a JSONL trace as an aggregated span tree with a metrics table.")
+       ~doc:"Render a JSONL trace as an aggregated span tree with a metrics table. A span \
+             with children whose self time exceeds half its total is marked \
+             \"<- self > 1/2 of total\": unattributed time to split out.")
     Term.(const run $ file_arg $ top_arg)
 
 (* ---------------- trace convergence ---------------- *)

@@ -77,14 +77,39 @@ let matmul a b =
   done;
   c
 
+(* Four rows at a time: four independent accumulator chains share each
+   load of x_j. Every row still sums a_ij·x_j over j ascending from +0.0,
+   so the bits match the one-row loop, which takes the leftover rows. *)
 let mv_into a x y =
   assert (a.cols = Array.length x);
   assert (a.rows = Array.length y);
-  for i = 0 to a.rows - 1 do
+  let ad = a.data and cols = a.cols in
+  let i = ref 0 in
+  while !i + 4 <= a.rows do
+    let i0 = !i in
+    let b0 = i0 * cols in
+    let b1 = b0 + cols in
+    let b2 = b1 + cols in
+    let b3 = b2 + cols in
+    let y0 = ref 0.0 and y1 = ref 0.0 and y2 = ref 0.0 and y3 = ref 0.0 in
+    for j = 0 to cols - 1 do
+      let xj = x.(j) in
+      y0 := !y0 +. (ad.(b0 + j) *. xj);
+      y1 := !y1 +. (ad.(b1 + j) *. xj);
+      y2 := !y2 +. (ad.(b2 + j) *. xj);
+      y3 := !y3 +. (ad.(b3 + j) *. xj)
+    done;
+    y.(i0) <- !y0;
+    y.(i0 + 1) <- !y1;
+    y.(i0 + 2) <- !y2;
+    y.(i0 + 3) <- !y3;
+    i := i0 + 4
+  done;
+  for i = !i to a.rows - 1 do
     let acc = ref 0.0 in
-    let base = i * a.cols in
-    for j = 0 to a.cols - 1 do
-      acc := !acc +. (a.data.(base + j) *. x.(j))
+    let base = i * cols in
+    for j = 0 to cols - 1 do
+      acc := !acc +. (ad.(base + j) *. x.(j))
     done;
     y.(i) <- !acc
   done
@@ -94,18 +119,52 @@ let mv a x =
   mv_into a x y;
   y
 
+(* Six columns at a time, rows inner: each y_j sums a_ij·x_i over i
+   ascending from +0.0, skipping x_i = 0, in a register instead of a load
+   and a store per row. A width that is not a multiple of six ends with a
+   block shifted back to finish at the last column; the columns it shares
+   with the previous block are recomputed to the same bits. Narrower
+   matrices take one column at a time, in the same order. *)
 let tmv_into a x y =
   assert (a.rows = Array.length x);
   assert (a.cols = Array.length y);
-  Array.fill y 0 a.cols 0.0;
-  for i = 0 to a.rows - 1 do
-    let base = i * a.cols in
-    let xi = x.(i) in
-    if not (Float.equal xi 0.0) then
-      for j = 0 to a.cols - 1 do
-        y.(j) <- y.(j) +. (a.data.(base + j) *. xi)
-      done
-  done
+  let ad = a.data and cols = a.cols in
+  if cols < 6 then
+    for j = 0 to cols - 1 do
+      let acc = ref 0.0 in
+      for i = 0 to a.rows - 1 do
+        let xi = x.(i) in
+        if not (Float.equal xi 0.0) then acc := !acc +. (ad.((i * cols) + j) *. xi)
+      done;
+      y.(j) <- !acc
+    done
+  else begin
+    let j = ref 0 in
+    while !j < cols do
+      let j0 = if !j + 6 > cols then cols - 6 else !j in
+      let y0 = ref 0.0 and y1 = ref 0.0 and y2 = ref 0.0 in
+      let y3 = ref 0.0 and y4 = ref 0.0 and y5 = ref 0.0 in
+      for i = 0 to a.rows - 1 do
+        let xi = x.(i) in
+        if not (Float.equal xi 0.0) then begin
+          let b = (i * cols) + j0 in
+          y0 := !y0 +. (ad.(b) *. xi);
+          y1 := !y1 +. (ad.(b + 1) *. xi);
+          y2 := !y2 +. (ad.(b + 2) *. xi);
+          y3 := !y3 +. (ad.(b + 3) *. xi);
+          y4 := !y4 +. (ad.(b + 4) *. xi);
+          y5 := !y5 +. (ad.(b + 5) *. xi)
+        end
+      done;
+      y.(j0) <- !y0;
+      y.(j0 + 1) <- !y1;
+      y.(j0 + 2) <- !y2;
+      y.(j0 + 3) <- !y3;
+      y.(j0 + 4) <- !y4;
+      y.(j0 + 5) <- !y5;
+      j := j0 + 6
+    done
+  end
 
 let tmv a x =
   let y = Array.make a.cols 0.0 in

@@ -33,11 +33,17 @@ val tmv : t -> Vec.t -> Vec.t
 (** [tmv a x] is [transpose a * x] without forming the transpose. *)
 
 val mv_into : t -> Vec.t -> Vec.t -> unit
-(** [mv_into a x y] writes [a * x] into [y], bit-identical to {!mv}. *)
+(** [mv_into a x y] writes [a * x] into [y], bit-identical to {!mv}.
+    Rows are taken four at a time, so four independent sums share each
+    load of [x]; every y_i is still a_i0·x_0 + a_i1·x_1 + … added from
+    +0.0 in column order, the same bits as a one-row-at-a-time loop. *)
 
 val tmv_into : t -> Vec.t -> Vec.t -> unit
 (** [tmv_into a x y] writes [transpose a * x] into [y], bit-identical to
-    {!tmv}. *)
+    {!tmv}. Columns are taken six at a time with the rows innermost, each
+    y_j summed in a register: it starts at +0.0 and adds a_ij·x_i for i
+    ascending, skipping x_i = 0 — the same operations in the same order
+    as a row-outer loop, so the same bits. *)
 
 val gram : t -> t
 (** [gram a] is [aᵀa]. *)

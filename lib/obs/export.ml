@@ -556,6 +556,12 @@ let aggregate_spans spans =
       match Float.compare tb ta with 0 -> String.compare na nb | c -> c)
     rows
 
+(* A span with children whose self time is still more than half its total
+   spends most of its time in code no child span names: unattributed time
+   to split out next. Leaves are all self time and are never marked. *)
+let unattributed_mark ~has_children ~total ~self =
+  if has_children && self > 0.5 *. total then "  <- self > 1/2 of total" else ""
+
 let aggregate_span_rows events =
   aggregate_spans (List.filter_map (function Span s -> Some s | _ -> None) events)
 
@@ -569,8 +575,10 @@ let output_top oc ~top events =
     Printf.fprintf oc "  %-36s %7s  %11s  %11s\n" "span" "calls" "total" "self";
     List.iter
       (fun (name, count, total, self) ->
-        Printf.fprintf oc "  %-36s %6dx  %s  %s\n" name count (format_seconds total)
-          (format_seconds self))
+        (* Only a span with children has self < total. *)
+        Printf.fprintf oc "  %-36s %6dx  %s  %s%s\n" name count (format_seconds total)
+          (format_seconds self)
+          (unattributed_mark ~has_children:(self < total) ~total ~self))
       shown
   end
 
@@ -635,9 +643,10 @@ let output_summary oc events =
     let all_kids = List.concat_map kids group in
     let child_total = List.fold_left (fun acc s -> acc +. duration s) 0.0 all_kids in
     let name = match group with s :: _ -> s.name | [] -> "" in
-    Printf.fprintf oc "  %-*s%-*s %5dx  total %s  self %s\n" (2 * depth) "" (36 - (2 * depth))
-      name (List.length group) (format_seconds total)
-      (format_seconds (total -. child_total));
+    let self = total -. child_total in
+    Printf.fprintf oc "  %-*s%-*s %5dx  total %s  self %s%s\n" (2 * depth) "" (36 - (2 * depth))
+      name (List.length group) (format_seconds total) (format_seconds self)
+      (unattributed_mark ~has_children:(all_kids <> []) ~total ~self);
     render_level (depth + 1) all_kids
   and render_level depth spans =
     let seen = Hashtbl.create 8 in

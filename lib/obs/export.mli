@@ -138,7 +138,9 @@ val output_summary : out_channel -> event list -> unit
 (** Render a span tree — siblings aggregated by name, with call counts and
     total/self wall time — followed by a metrics section, to an explicit
     channel. Orphan spans (parent id absent from the stream) are promoted
-    to roots. *)
+    to roots. A row with children whose self time exceeds half its total
+    is marked [<- self > 1/2 of total]: most of its time is spent in code
+    no child span names. *)
 
 val output_metrics : out_channel -> metric list -> unit
 (** Just the metrics section of [output_summary]. *)
@@ -146,7 +148,9 @@ val output_metrics : out_channel -> metric list -> unit
 val output_top : out_channel -> top:int -> event list -> unit
 (** Flat aggregate of the spans in the stream: one row per span name with
     call count, total and self wall time, sorted by total descending.
-    [top] bounds the number of rows ([<= 0] prints all). *)
+    [top] bounds the number of rows ([<= 0] prints all). Rows are marked
+    as in {!output_summary}; here a name has children when its self time
+    is below its total. *)
 
 val output_event_counts : out_channel -> event list -> unit
 (** Per-kind event totals (spans/metrics/points/samples/diags, with

@@ -86,6 +86,95 @@ let stationarity_residual problem x nu z =
   dual_residual_into problem x nu z ~tmp:(Vec.zeros n) r;
   Vec.norm_inf r /. stationarity_scale problem
 
+(* One entry of [reduced_into]: H[p,q], then (wᵢ·a_ip)·a_iq added for i
+   ascending, rows with a_ip = 0 skipped. *)
+let reduced_entry hd ad w od n m p q =
+  let acc = ref hd.((p * n) + q) in
+  for i = 0 to m - 1 do
+    let base = i * n in
+    let a_ip = ad.(base + p) in
+    if not (Float.equal a_ip 0.0) then begin
+      let wa = w.(i) *. a_ip in
+      acc := !acc +. (wa *. ad.(base + q))
+    end
+  done;
+  od.((p * n) + q) <- !acc
+
+(* The one owner of the reduced matrix H + Σᵢ wᵢ aᵢaᵢᵀ. Entries are
+   accumulated in 2 × 6 register blocks with the rows of A in the inner
+   loop, each entry in the same sequence as [reduced_entry], so the bits
+   do not depend on the blocking. A dimension that is not a multiple of
+   the block ends with a block shifted back to finish at the last
+   row/column: the entries it shares with the previous block are
+   recomputed from H, so [h_aug] must not be [h]. Below six columns every
+   entry goes through [reduced_entry]. *)
+let reduced_into ~h ~a ~w h_aug =
+  let n = h.Mat.rows and m = a.Mat.rows in
+  assert (h.Mat.cols = n && a.Mat.cols = n && Array.length w = m);
+  assert (h_aug.Mat.rows = n && h_aug.Mat.cols = n);
+  assert (n = 0 || h_aug.Mat.data != h.Mat.data);
+  let hd = h.Mat.data and ad = a.Mat.data and od = h_aug.Mat.data in
+  if n < 6 then
+    for p = 0 to n - 1 do
+      for q = 0 to n - 1 do
+        reduced_entry hd ad w od n m p q
+      done
+    done
+  else begin
+    let p = ref 0 in
+    while !p < n do
+      let p0 = if !p + 2 > n then n - 2 else !p in
+      let q = ref 0 in
+      while !q < n do
+        let q0 = if !q + 6 > n then n - 6 else !q in
+        let r0 = (p0 * n) + q0 in
+        let r1 = r0 + n in
+        let h00 = ref hd.(r0) and h01 = ref hd.(r0 + 1) and h02 = ref hd.(r0 + 2) in
+        let h03 = ref hd.(r0 + 3) and h04 = ref hd.(r0 + 4) and h05 = ref hd.(r0 + 5) in
+        let h10 = ref hd.(r1) and h11 = ref hd.(r1 + 1) and h12 = ref hd.(r1 + 2) in
+        let h13 = ref hd.(r1 + 3) and h14 = ref hd.(r1 + 4) and h15 = ref hd.(r1 + 5) in
+        for i = 0 to m - 1 do
+          let base = i * n in
+          let wi = w.(i) and b = base + q0 in
+          let a0 = ad.(base + p0) in
+          if not (Float.equal a0 0.0) then begin
+            let wa = wi *. a0 in
+            h00 := !h00 +. (wa *. ad.(b));
+            h01 := !h01 +. (wa *. ad.(b + 1));
+            h02 := !h02 +. (wa *. ad.(b + 2));
+            h03 := !h03 +. (wa *. ad.(b + 3));
+            h04 := !h04 +. (wa *. ad.(b + 4));
+            h05 := !h05 +. (wa *. ad.(b + 5))
+          end;
+          let a1 = ad.(base + p0 + 1) in
+          if not (Float.equal a1 0.0) then begin
+            let wa = wi *. a1 in
+            h10 := !h10 +. (wa *. ad.(b));
+            h11 := !h11 +. (wa *. ad.(b + 1));
+            h12 := !h12 +. (wa *. ad.(b + 2));
+            h13 := !h13 +. (wa *. ad.(b + 3));
+            h14 := !h14 +. (wa *. ad.(b + 4));
+            h15 := !h15 +. (wa *. ad.(b + 5))
+          end
+        done;
+        od.(r0) <- !h00;
+        od.(r0 + 1) <- !h01;
+        od.(r0 + 2) <- !h02;
+        od.(r0 + 3) <- !h03;
+        od.(r0 + 4) <- !h04;
+        od.(r0 + 5) <- !h05;
+        od.(r1) <- !h10;
+        od.(r1 + 1) <- !h11;
+        od.(r1 + 2) <- !h12;
+        od.(r1 + 3) <- !h13;
+        od.(r1 + 4) <- !h14;
+        od.(r1 + 5) <- !h15;
+        q := q0 + 6
+      done;
+      p := p0 + 2
+    done
+  end
+
 (* Infeasible-start primal-dual path following for the inequality case.
    [sp] is the enclosing qp.solve span: each pass of the main loop emits
    one "qp.iteration" point on it, so a trace replays the convergence
@@ -191,7 +280,6 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
     done;
     !alpha
   in
-  let hd = h_aug.Mat.data and ad = a.Mat.data in
   while (not !converged) && !iterations < max_iter do
     incr iterations;
     (match on_iteration with Some f -> f !iterations | None -> ());
@@ -217,19 +305,7 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
       for i = 0 to m_ineq - 1 do
         s_inv_z.(i) <- z.(i) /. s.(i)
       done;
-      Array.blit problem.h.Mat.data 0 hd 0 (n * n);
-      for i = 0 to m_ineq - 1 do
-        let w = s_inv_z.(i) and base = i * n in
-        for p = 0 to n - 1 do
-          let a_ip = ad.(base + p) in
-          if not (Float.equal a_ip 0.0) then begin
-            let w_a_ip = w *. a_ip and prow = p * n in
-            for q = 0 to n - 1 do
-              hd.(prow + q) <- hd.(prow + q) +. (w_a_ip *. ad.(base + q))
-            done
-          end
-        done
-      done;
+      reduced_into ~h:problem.h ~a ~w:s_inv_z h_aug;
       for i = 0 to m_ineq - 1 do
         corr.(i) <- (sigma *. mu /. s.(i)) -. z.(i) -. (s_inv_z.(i) *. r_ineq.(i))
       done;

@@ -19,7 +19,14 @@
     floats and nothing that grows with the problem. Its results ([x],
     [active], [iterations], [kkt_residual], [status], and when it raises
     {!Infeasible}) are bit-identical to the earlier loop that allocated
-    fresh matrices every pass. *)
+    fresh matrices every pass.
+
+    Its O(m·n²) and O(m·n) kernels — the reduced matrix ({!reduced_into})
+    and the A/Aᵀ products ({!Numerics.Mat.mv_into},
+    {!Numerics.Mat.tmv_into}) — are register-blocked: each entry is summed
+    in a register instead of through a load and a store per multiply-add,
+    with the same floating-point operations in the same order, so the
+    blocking leaves every bit unchanged. *)
 
 open Numerics
 
@@ -65,6 +72,15 @@ val unconstrained : Mat.t -> Vec.t -> Vec.t
 val solve_equality : Mat.t -> Vec.t -> c:Mat.t -> d:Vec.t -> Vec.t * Vec.t
 (** Equality-constrained minimizer via the KKT system; returns
     [(x, multipliers)]. *)
+
+val reduced_into : h:Mat.t -> a:Mat.t -> w:Vec.t -> Mat.t -> unit
+(** [reduced_into ~h ~a ~w h_aug] writes H + Σᵢ wᵢ aᵢaᵢᵀ, the
+    interior-point reduced matrix H + AᵀWA with W = diag [w], into
+    [h_aug] (n × n, not [h] itself). Each entry starts from H[p,q] and adds
+    [(w.(i) *. a_ip) *. a_iq] for i ascending, skipping rows where
+    a_ip = 0 — the row-outer loop's order — but walks 2 × 6 register
+    blocks with the rows of [a] innermost, so it is bit-identical to that
+    loop and allocates nothing. *)
 
 val solve :
   ?warm_start:warm_start ->

@@ -308,3 +308,26 @@ let solve ?warm_start ?(tol = 1e-9) ?(max_iter = 100) ?(fail_on_stall = true) pr
     solve_interior_point ~warm_start ~tol:(Float.max tol 1e-12) ~max_iter ~fail_on_stall problem
       a b
   | _ -> invalid_arg "Qp_reference.solve: inequality problems only"
+
+(* The reduced-matrix accumulation H + Σᵢ wᵢ aᵢaᵢᵀ as the workspace loop
+   did it before the kernel was register-blocked: H copied in, then rows
+   of A outermost, a load and a store of h_aug per multiply-add. The
+   blocked [Qp.reduced_into] is held to it bit for bit; [mv] and [tmv]
+   above play the same part for the blocked [Mat.mv_into] and
+   [Mat.tmv_into]. *)
+let reduced_into ~(h : Mat.t) ~(a : Mat.t) ~w (h_aug : Mat.t) =
+  let n = h.Mat.rows and m_ineq = a.Mat.rows in
+  let hd = h_aug.Mat.data and ad = a.Mat.data in
+  Array.blit h.Mat.data 0 hd 0 (n * n);
+  for i = 0 to m_ineq - 1 do
+    let w = w.(i) and base = i * n in
+    for p = 0 to n - 1 do
+      let a_ip = ad.(base + p) in
+      if not (Float.equal a_ip 0.0) then begin
+        let w_a_ip = w *. a_ip and prow = p * n in
+        for q = 0 to n - 1 do
+          hd.(prow + q) <- hd.(prow + q) +. (w_a_ip *. ad.(base + q))
+        done
+      end
+    done
+  done

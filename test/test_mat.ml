@@ -94,6 +94,56 @@ let prop_mv_linearity =
       let y = Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
       Vec.approx_equal ~tol:1e-9 (Mat.mv a (Vec.add x y)) (Vec.add (Mat.mv a x) (Mat.mv a y)))
 
+(* --- Blocked products: bit identity and allocation --- *)
+
+(* [mv_into] takes rows four at a time and [tmv_into] columns six at a
+   time; these shapes give every tail: no full block, one block plus a
+   remainder, exact multiples and a block shifted back over the previous
+   one. Each product is compared bit for bit with the one-row and
+   row-outer loops kept in Qp_reference, on finite inputs and on inputs with inf
+   and NaN in both A and x: NaN payloads only survive if the operand
+   order does, and a_ij·0 is only non-zero for a non-finite a_ij, so
+   that is where a dropped x_i = 0 skip shows. *)
+let block_sizes = [ 1; 2; 5; 7; 12; 13 ]
+let row_counts = [ 0; 1; 3; 203 ]
+
+let test_blocked_products_bits () =
+  List.iter
+    (fun (rows, cols) ->
+      List.iter
+        (fun nonfinite ->
+          let name what = Printf.sprintf "%s %dx%d%s" what rows cols (if nonfinite then " inf/nan" else "") in
+          let a = { Mat.rows; cols; data = kernel_input ~nonfinite (rows + (31 * cols)) (rows * cols) } in
+          let x = kernel_input ~nonfinite (cols + 7) cols in
+          let y = Array.make rows Float.nan in
+          Mat.mv_into a x y;
+          check_bits (name "mv_into") (Qp_reference.mv a x) y;
+          check_bits (name "mv") (Qp_reference.mv a x) (Mat.mv a x);
+          let x = kernel_input ~nonfinite (rows + 11) rows in
+          let y = Array.make cols Float.nan in
+          Mat.tmv_into a x y;
+          check_bits (name "tmv_into") (Qp_reference.tmv a x) y;
+          check_bits (name "tmv") (Qp_reference.tmv a x) (Mat.tmv a x))
+        [ false; true ])
+    (List.concat_map
+       (fun m -> List.concat_map (fun n -> [ (m, n); (n, m) ]) block_sizes)
+       row_counts)
+
+(* The blocked products keep their sums in registers: a call allocates
+   nothing, also on a shape with a shifted last block and a row tail. *)
+let test_blocked_products_allocate_nothing () =
+  List.iter
+    (fun (rows, cols) ->
+      let a = { Mat.rows; cols; data = kernel_input 3 (rows * cols) } in
+      let x = kernel_input 4 cols and xt = kernel_input 5 rows in
+      let y = Array.make rows 0.0 and yt = Array.make cols 0.0 in
+      let name what = Printf.sprintf "%s %dx%d words" what rows cols in
+      Alcotest.(check (float 0.0)) (name "mv_into") 0.0
+        (words_allocated (fun () -> for _ = 1 to 10 do Mat.mv_into a x y done));
+      Alcotest.(check (float 0.0)) (name "tmv_into") 0.0
+        (words_allocated (fun () -> for _ = 1 to 10 do Mat.tmv_into a xt yt done)))
+    [ (203, 12); (203, 13); (13, 5) ]
+
 let tests =
   [
     ( "mat",
@@ -109,5 +159,7 @@ let tests =
         case "add sub scale map" test_add_sub_scale_map;
         prop_transpose_matmul;
         prop_mv_linearity;
+        case "bit-identical: blocked mv/tmv, every tail" test_blocked_products_bits;
+        case "blocked mv/tmv allocate nothing" test_blocked_products_allocate_nothing;
       ] );
   ]

@@ -362,6 +362,54 @@ let test_output_top_aggregates =
   check_true "outer survives the cut" (contains top1 "outer");
   check_true "inner cut by top 1" (not (contains top1 "inner"))
 
+(* A span with children whose self time exceeds half its total is marked
+   as unattributed, in the tree and in the flat table; a span whose
+   children account for most of it, and a leaf (all self time by
+   definition), are not. *)
+let test_unattributed_self_time_marked =
+  with_clean_obs @@ fun () ->
+  let source, advance = Obs.Clock.manual () in
+  Obs.Clock.with_source source @@ fun () ->
+  let sink, recorded = Obs.Export.memory () in
+  Obs.Export.install sink;
+  Obs.Span.with_ "select" (fun _ ->
+      advance 3.0;
+      Obs.Span.with_ "candidate" (fun _ -> advance 1.0));
+  Obs.Span.with_ "solve" (fun _ ->
+      advance 0.5;
+      Obs.Span.with_ "qp" (fun _ -> advance 1.5));
+  let events = recorded () in
+  let render output =
+    let path = Filename.temp_file "obs_unattributed" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> output oc events);
+        In_channel.with_open_text path In_channel.input_all)
+  in
+  let mark = "<- self > 1/2 of total" in
+  let check_marks table text =
+    let lines = String.split_on_char '\n' text in
+    let row name =
+      match
+        List.find_opt
+          (fun l ->
+            match String.split_on_char ' ' (String.trim l) with
+            | first :: _ -> String.equal first name
+            | [] -> false)
+          lines
+      with
+      | Some l -> l
+      | None -> Alcotest.failf "%s: no row for %s" table name
+    in
+    check_true (table ^ ": select marked (3 of 4 s self)") (contains (row "select") mark);
+    check_true (table ^ ": solve not marked (0.5 of 2 s self)") (not (contains (row "solve") mark));
+    check_true (table ^ ": leaf candidate not marked") (not (contains (row "candidate") mark));
+    check_true (table ^ ": leaf qp not marked") (not (contains (row "qp") mark))
+  in
+  check_marks "tree" (render Obs.Export.output_summary);
+  check_marks "top" (render (Obs.Export.output_top ~top:0))
+
 let test_pipeline_span_hierarchy =
   with_clean_obs @@ fun () ->
   let sink, recorded = Obs.Export.memory () in
@@ -871,6 +919,7 @@ let tests =
         case "jsonl write and read back" test_read_jsonl;
         case "malformed line reported" test_read_jsonl_reports_line;
         case "top table aggregates by name" test_output_top_aggregates;
+        case "unattributed self time marked" test_unattributed_self_time_marked;
       ] );
     ( "obs-pipeline",
       [

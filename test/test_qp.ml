@@ -233,6 +233,51 @@ let test_bits_iteration_cap () =
   check_true "reference raises Infeasible" (Option.is_some expected);
   Alcotest.(check (option string)) "same Infeasible" expected actual
 
+(* --- The reduced-matrix kernel --- *)
+
+(* [Qp.reduced_into] walks 2 × 6 register blocks; n covers no full block
+   (1, 2, 5), a shifted last block in both directions (7, 13) and exact
+   multiples (12), and m an empty, a single and a short A as well as the
+   perfbench row count. A has exact 0.0 and -0.0 entries, which both skip
+   a row; A and the weights are finite, or both carry inf and NaN so that
+   NaNs of two payloads meet in one product or sum. The reference is the
+   row-outer loop. *)
+let test_reduced_bits () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun nonfinite ->
+              let name =
+                Printf.sprintf "reduced n=%d m=%d%s" n m (if nonfinite then " inf/nan" else "")
+              in
+              let h = { Mat.rows = n; cols = n; data = kernel_input (n + 1) (n * n) } in
+              let a = { Mat.rows = m; cols = n; data = kernel_input ~nonfinite (m + (17 * n)) (m * n) } in
+              let w = kernel_input ~nonfinite (m + 3) m in
+              let expected = Mat.zeros n n and actual = Mat.make n n Float.nan in
+              Qp_reference.reduced_into ~h ~a ~w expected;
+              Optimize.Qp.reduced_into ~h ~a ~w actual;
+              check_bits name expected.Mat.data actual.Mat.data)
+            [ false; true ])
+        [ 0; 1; 3; 203 ])
+    [ 1; 2; 5; 7; 12; 13 ]
+
+(* The kernel keeps its twelve sums in registers and loads inline: a call
+   allocates nothing (a float-returning helper for the loads would box one
+   float per multiply-add). *)
+let test_reduced_allocates_nothing () =
+  List.iter
+    (fun (n, m) ->
+      let h = { Mat.rows = n; cols = n; data = kernel_input 1 (n * n) } in
+      let a = { Mat.rows = m; cols = n; data = kernel_input 2 (m * n) } in
+      let w = kernel_input 3 m and h_aug = Mat.zeros n n in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "reduced_into n=%d m=%d words" n m)
+        0.0
+        (words_allocated (fun () -> for _ = 1 to 10 do Optimize.Qp.reduced_into ~h ~a ~w h_aug done)))
+    [ (12, 203); (13, 203); (5, 203) ]
+
 (* --- Allocation guard --- *)
 
 (* A pass of the interior-point loop writes into buffers allocated once per
@@ -281,5 +326,7 @@ let tests =
         case "bit-identical: zero entries in A" test_bits_zero_skip;
         case "bit-identical: iteration cap" test_bits_iteration_cap;
         case "no per-iteration allocation" test_no_per_iteration_allocation;
+        case "bit-identical: reduced matrix, every tail" test_reduced_bits;
+        case "reduced matrix allocates nothing" test_reduced_allocates_nothing;
       ] );
   ]
