@@ -1298,6 +1298,15 @@ let micro () =
   let h_aug = Mat.zeros basis.Spline.Basis.size basis.Spline.Basis.size in
   let coeffs = Array.init basis.Spline.Basis.size (fun j -> Float.cos (float_of_int j)) in
   let rows_out = Vec.zeros 203 and cols_out = Vec.zeros basis.Spline.Basis.size in
+  (* The other side of the reduced matrix's cut-over: the grid solver's
+     201-bin QP, whose inequality rows are the identity, so every pair of
+     h_aug rows meets two nonzero rows of A and takes the row-outer loop. *)
+  let grid_h =
+    let d2 = Deconv.Grid_solver.second_difference 201 ~bin_width:(1.0 /. 201.0) in
+    Mat.add (Mat.gram d2) (Mat.identity 201)
+  in
+  let grid_identity = Mat.identity 201 and grid_h_aug = Mat.zeros 201 201 in
+  let grid_ratios = Array.sub slack_ratios 0 201 in
   let tests =
     [
       (* One Test.make per reproduced figure: the dominating computation of
@@ -1364,6 +1373,9 @@ let micro () =
          pass. *)
       Test.make ~name:"qp_reduced_accumulate"
         (Staged.stage (fun () -> Optimize.Qp.reduced_into ~h:qp_h ~a:positivity ~w:slack_ratios h_aug));
+      Test.make ~name:"qp_reduced_identity_201"
+        (Staged.stage (fun () ->
+             Optimize.Qp.reduced_into ~h:grid_h ~a:grid_identity ~w:grid_ratios grid_h_aug));
       Test.make ~name:"mat_tmv_203x12"
         (Staged.stage (fun () -> Mat.tmv_into positivity slack_ratios cols_out));
       Test.make ~name:"mat_mv_203x12" (Staged.stage (fun () -> Mat.mv_into positivity coeffs rows_out));

@@ -124,20 +124,23 @@ let mv a x =
    and a store per row. A width that is not a multiple of six ends with a
    block shifted back to finish at the last column; the columns it shares
    with the previous block are recomputed to the same bits. Narrower
-   matrices take one column at a time, in the same order. *)
+   matrices take the row-outer loop, a load and a store of y_j per
+   multiply-add, in the same order. *)
 let tmv_into a x y =
   assert (a.rows = Array.length x);
   assert (a.cols = Array.length y);
   let ad = a.data and cols = a.cols in
-  if cols < 6 then
-    for j = 0 to cols - 1 do
-      let acc = ref 0.0 in
-      for i = 0 to a.rows - 1 do
-        let xi = x.(i) in
-        if not (Float.equal xi 0.0) then acc := !acc +. (ad.((i * cols) + j) *. xi)
-      done;
-      y.(j) <- !acc
+  if cols < 6 then begin
+    Array.fill y 0 cols 0.0;
+    for i = 0 to a.rows - 1 do
+      let base = i * cols in
+      let xi = x.(i) in
+      if not (Float.equal xi 0.0) then
+        for j = 0 to cols - 1 do
+          y.(j) <- y.(j) +. (ad.(base + j) *. xi)
+        done
     done
+  end
   else begin
     let j = ref 0 in
     while !j < cols do

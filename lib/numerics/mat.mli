@@ -40,10 +40,11 @@ val mv_into : t -> Vec.t -> Vec.t -> unit
 
 val tmv_into : t -> Vec.t -> Vec.t -> unit
 (** [tmv_into a x y] writes [transpose a * x] into [y], bit-identical to
-    {!tmv}. Columns are taken six at a time with the rows innermost, each
-    y_j summed in a register: it starts at +0.0 and adds a_ij·x_i for i
-    ascending, skipping x_i = 0 — the same operations in the same order
-    as a row-outer loop, so the same bits. *)
+    {!tmv}. Each y_j starts at +0.0 and adds a_ij·x_i for i ascending,
+    skipping x_i = 0. From six columns on, columns are taken six at a time
+    with the rows innermost, each y_j summed in a register; narrower
+    matrices take the row-outer loop. Both do the same operations in the
+    same order, so the same bits. *)
 
 val gram : t -> t
 (** [gram a] is [aᵀa]. *)

@@ -86,91 +86,107 @@ let stationarity_residual problem x nu z =
   dual_residual_into problem x nu z ~tmp:(Vec.zeros n) r;
   Vec.norm_inf r /. stationarity_scale problem
 
-(* One entry of [reduced_into]: H[p,q], then (wᵢ·a_ip)·a_iq added for i
-   ascending, rows with a_ip = 0 skipped. *)
-let reduced_entry hd ad w od n m p q =
-  let acc = ref hd.((p * n) + q) in
-  for i = 0 to m - 1 do
-    let base = i * n in
-    let a_ip = ad.(base + p) in
-    if not (Float.equal a_ip 0.0) then begin
-      let wa = w.(i) *. a_ip in
-      acc := !acc +. (wa *. ad.(base + q))
-    end
-  done;
-  od.((p * n) + q) <- !acc
+(* Rows p_lo..p_hi of H + Σᵢ wᵢ aᵢaᵢᵀ taken row-outer over the rows
+   i_lo..i_hi of A, the only rows with a nonzero in those columns: H
+   copied in, then each nonzero a_ip adds (wᵢ·a_ip)·a_iq to h_aug[p,q], a
+   load and a store per multiply-add. *)
+let reduced_rows hd ad w od n ~p_lo ~p_hi ~i_lo ~i_hi =
+  Array.blit hd (p_lo * n) od (p_lo * n) ((p_hi - p_lo + 1) * n);
+  for i = i_lo to i_hi do
+    let wi = w.(i) and base = i * n in
+    for p = p_lo to p_hi do
+      let a_ip = ad.(base + p) in
+      if not (Float.equal a_ip 0.0) then begin
+        let wa = wi *. a_ip and prow = p * n in
+        for q = 0 to n - 1 do
+          od.(prow + q) <- od.(prow + q) +. (wa *. ad.(base + q))
+        done
+      end
+    done
+  done
 
-(* The one owner of the reduced matrix H + Σᵢ wᵢ aᵢaᵢᵀ. Entries are
-   accumulated in 2 × 6 register blocks with the rows of A in the inner
-   loop, each entry in the same sequence as [reduced_entry], so the bits
-   do not depend on the blocking. A dimension that is not a multiple of
-   the block ends with a block shifted back to finish at the last
-   row/column: the entries it shares with the previous block are
-   recomputed from H, so [h_aug] must not be [h]. Below six columns every
-   entry goes through [reduced_entry]. *)
+(* The one owner of the reduced matrix H + Σᵢ wᵢ aᵢaᵢᵀ. Every entry
+   starts from H[p,q] and adds (wᵢ·a_ip)·a_iq for i ascending, rows with
+   a_ip = 0 skipped, so the bits do not depend on the path below.
+
+   From six columns on, rows of h_aug go in pairs (p, p+1), and a pair
+   visits only the rows of A from the first to the last with a nonzero
+   in column p or p+1: the rows outside would be skipped for both. A pair
+   with more than two such rows is accumulated in 2 × 6 register blocks
+   with those rows innermost; a dimension that is not a multiple of the
+   block ends with a block shifted back to finish at the last
+   row/column, whose entries shared with the previous block are
+   recomputed from H, so [h_aug] must not be [h]. A pair with at most two
+   rows (the grid solver's identity A) and a matrix narrower than six
+   columns take [reduced_rows], which is faster there. *)
 let reduced_into ~h ~a ~w h_aug =
   let n = h.Mat.rows and m = a.Mat.rows in
   assert (h.Mat.cols = n && a.Mat.cols = n && Array.length w = m);
   assert (h_aug.Mat.rows = n && h_aug.Mat.cols = n);
   assert (n = 0 || h_aug.Mat.data != h.Mat.data);
   let hd = h.Mat.data and ad = a.Mat.data and od = h_aug.Mat.data in
-  if n < 6 then
-    for p = 0 to n - 1 do
-      for q = 0 to n - 1 do
-        reduced_entry hd ad w od n m p q
-      done
-    done
+  if n < 6 then reduced_rows hd ad w od n ~p_lo:0 ~p_hi:(n - 1) ~i_lo:0 ~i_hi:(m - 1)
   else begin
     let p = ref 0 in
     while !p < n do
       let p0 = if !p + 2 > n then n - 2 else !p in
-      let q = ref 0 in
-      while !q < n do
-        let q0 = if !q + 6 > n then n - 6 else !q in
-        let r0 = (p0 * n) + q0 in
-        let r1 = r0 + n in
-        let h00 = ref hd.(r0) and h01 = ref hd.(r0 + 1) and h02 = ref hd.(r0 + 2) in
-        let h03 = ref hd.(r0 + 3) and h04 = ref hd.(r0 + 4) and h05 = ref hd.(r0 + 5) in
-        let h10 = ref hd.(r1) and h11 = ref hd.(r1 + 1) and h12 = ref hd.(r1 + 2) in
-        let h13 = ref hd.(r1 + 3) and h14 = ref hd.(r1 + 4) and h15 = ref hd.(r1 + 5) in
-        for i = 0 to m - 1 do
-          let base = i * n in
-          let wi = w.(i) and b = base + q0 in
-          let a0 = ad.(base + p0) in
-          if not (Float.equal a0 0.0) then begin
-            let wa = wi *. a0 in
-            h00 := !h00 +. (wa *. ad.(b));
-            h01 := !h01 +. (wa *. ad.(b + 1));
-            h02 := !h02 +. (wa *. ad.(b + 2));
-            h03 := !h03 +. (wa *. ad.(b + 3));
-            h04 := !h04 +. (wa *. ad.(b + 4));
-            h05 := !h05 +. (wa *. ad.(b + 5))
-          end;
-          let a1 = ad.(base + p0 + 1) in
-          if not (Float.equal a1 0.0) then begin
-            let wa = wi *. a1 in
-            h10 := !h10 +. (wa *. ad.(b));
-            h11 := !h11 +. (wa *. ad.(b + 1));
-            h12 := !h12 +. (wa *. ad.(b + 2));
-            h13 := !h13 +. (wa *. ad.(b + 3));
-            h14 := !h14 +. (wa *. ad.(b + 4));
-            h15 := !h15 +. (wa *. ad.(b + 5))
-          end
-        done;
-        od.(r0) <- !h00;
-        od.(r0 + 1) <- !h01;
-        od.(r0 + 2) <- !h02;
-        od.(r0 + 3) <- !h03;
-        od.(r0 + 4) <- !h04;
-        od.(r0 + 5) <- !h05;
-        od.(r1) <- !h10;
-        od.(r1 + 1) <- !h11;
-        od.(r1 + 2) <- !h12;
-        od.(r1 + 3) <- !h13;
-        od.(r1 + 4) <- !h14;
-        od.(r1 + 5) <- !h15;
-        q := q0 + 6
+      let lo = ref 0 and hi = ref (m - 1) in
+      while !lo < m && Float.equal ad.((!lo * n) + p0) 0.0 && Float.equal ad.((!lo * n) + p0 + 1) 0.0 do
+        incr lo
       done;
+      while !hi > !lo && Float.equal ad.((!hi * n) + p0) 0.0 && Float.equal ad.((!hi * n) + p0 + 1) 0.0 do
+        decr hi
+      done;
+      if !hi - !lo < 2 then reduced_rows hd ad w od n ~p_lo:p0 ~p_hi:(p0 + 1) ~i_lo:!lo ~i_hi:!hi
+      else begin
+        let q = ref 0 in
+        while !q < n do
+          let q0 = if !q + 6 > n then n - 6 else !q in
+          let r0 = (p0 * n) + q0 in
+          let r1 = r0 + n in
+          let h00 = ref hd.(r0) and h01 = ref hd.(r0 + 1) and h02 = ref hd.(r0 + 2) in
+          let h03 = ref hd.(r0 + 3) and h04 = ref hd.(r0 + 4) and h05 = ref hd.(r0 + 5) in
+          let h10 = ref hd.(r1) and h11 = ref hd.(r1 + 1) and h12 = ref hd.(r1 + 2) in
+          let h13 = ref hd.(r1 + 3) and h14 = ref hd.(r1 + 4) and h15 = ref hd.(r1 + 5) in
+          for i = !lo to !hi do
+            let base = i * n in
+            let wi = w.(i) and b = base + q0 in
+            let a0 = ad.(base + p0) in
+            if not (Float.equal a0 0.0) then begin
+              let wa = wi *. a0 in
+              h00 := !h00 +. (wa *. ad.(b));
+              h01 := !h01 +. (wa *. ad.(b + 1));
+              h02 := !h02 +. (wa *. ad.(b + 2));
+              h03 := !h03 +. (wa *. ad.(b + 3));
+              h04 := !h04 +. (wa *. ad.(b + 4));
+              h05 := !h05 +. (wa *. ad.(b + 5))
+            end;
+            let a1 = ad.(base + p0 + 1) in
+            if not (Float.equal a1 0.0) then begin
+              let wa = wi *. a1 in
+              h10 := !h10 +. (wa *. ad.(b));
+              h11 := !h11 +. (wa *. ad.(b + 1));
+              h12 := !h12 +. (wa *. ad.(b + 2));
+              h13 := !h13 +. (wa *. ad.(b + 3));
+              h14 := !h14 +. (wa *. ad.(b + 4));
+              h15 := !h15 +. (wa *. ad.(b + 5))
+            end
+          done;
+          od.(r0) <- !h00;
+          od.(r0 + 1) <- !h01;
+          od.(r0 + 2) <- !h02;
+          od.(r0 + 3) <- !h03;
+          od.(r0 + 4) <- !h04;
+          od.(r0 + 5) <- !h05;
+          od.(r1) <- !h10;
+          od.(r1 + 1) <- !h11;
+          od.(r1 + 2) <- !h12;
+          od.(r1 + 3) <- !h13;
+          od.(r1 + 4) <- !h14;
+          od.(r1 + 5) <- !h15;
+          q := q0 + 6
+        done
+      end;
       p := p0 + 2
     done
   end

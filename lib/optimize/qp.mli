@@ -23,10 +23,13 @@
 
     Its O(m·n²) and O(m·n) kernels — the reduced matrix ({!reduced_into})
     and the A/Aᵀ products ({!Numerics.Mat.mv_into},
-    {!Numerics.Mat.tmv_into}) — are register-blocked: each entry is summed
-    in a register instead of through a load and a store per multiply-add,
-    with the same floating-point operations in the same order, so the
-    blocking leaves every bit unchanged. *)
+    {!Numerics.Mat.tmv_into}) — are register-blocked from six columns on:
+    each entry is summed in a register instead of through a load and a
+    store per multiply-add, with the same floating-point operations in the
+    same order, so the blocking leaves every bit unchanged. Narrower
+    matrices, and the sparse rows of A (such as the identity of a
+    grid-solver problem), keep the row-outer loops, which are faster
+    there. *)
 
 open Numerics
 
@@ -78,9 +81,12 @@ val reduced_into : h:Mat.t -> a:Mat.t -> w:Vec.t -> Mat.t -> unit
     interior-point reduced matrix H + AᵀWA with W = diag [w], into
     [h_aug] (n × n, not [h] itself). Each entry starts from H[p,q] and adds
     [(w.(i) *. a_ip) *. a_iq] for i ascending, skipping rows where
-    a_ip = 0 — the row-outer loop's order — but walks 2 × 6 register
-    blocks with the rows of [a] innermost, so it is bit-identical to that
-    loop and allocates nothing. *)
+    a_ip = 0 — the row-outer loop's order — and allocates nothing. From
+    six columns on, a pair of rows of [h_aug] with more than two rows of
+    [a] between its first and last nonzero is summed in 2 × 6 register
+    blocks with those rows innermost; other pairs, and matrices narrower
+    than six columns, take the row-outer loop. Either way the bits are
+    those of the row-outer loop. *)
 
 val solve :
   ?warm_start:warm_start ->

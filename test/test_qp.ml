@@ -263,6 +263,46 @@ let test_reduced_bits () =
         [ 0; 1; 3; 203 ])
     [ 1; 2; 5; 7; 12; 13 ]
 
+(* Sparse A: a pair of rows (p, p+1) of the reduced matrix visits only
+   the rows of A between its first and last nonzero in column p or p+1,
+   and takes the row-outer loop when there are at most two. The patterns
+   cover an identity (the grid solver's A, two rows per pair), bands of
+   width 1-4 (around that cut-over), pairs of all-zero columns (no rows),
+   nonzeros only in the first and last row (zero rows in the middle of
+   the range) and a single dense row. Zeros alternate between 0.0 and
+   -0.0; the values and weights are finite, or carry inf and NaN. *)
+let test_reduced_sparse_bits () =
+  let patterns =
+    List.map (fun n -> (Printf.sprintf "identity %d" n, n, n, fun i j -> i = j)) [ 6; 7; 12; 13; 201 ]
+    @ List.map
+        (fun k -> (Printf.sprintf "band %d" k, 13, 13, fun i j -> j >= i && j < i + k))
+        [ 1; 2; 3; 4 ]
+    @ [
+        ("band 3, n=40", 40, 38, fun i j -> j >= i && j < i + 3);
+        ("zero column pairs", 13, 30, fun _ j -> j <> 2 && j <> 3 && j < 11);
+        ("first and last row", 12, 9, fun i _ -> i = 0 || i = 8);
+        ("one dense row", 7, 1, fun _ _ -> true);
+      ]
+  in
+  List.iter
+    (fun (pattern, n, m, nonzero) ->
+      List.iter
+        (fun nonfinite ->
+          let name = Printf.sprintf "reduced %s%s" pattern (if nonfinite then " inf/nan" else "") in
+          let values = kernel_input ~nonfinite (m + (17 * n)) (m * n) in
+          let a =
+            Mat.init m n (fun i j ->
+                if nonzero i j then values.((i * n) + j) else if (i + j) mod 2 = 0 then 0.0 else -0.0)
+          in
+          let h = { Mat.rows = n; cols = n; data = kernel_input (n + 1) (n * n) } in
+          let w = kernel_input ~nonfinite (m + 3) m in
+          let expected = Mat.zeros n n and actual = Mat.make n n Float.nan in
+          Qp_reference.reduced_into ~h ~a ~w expected;
+          Optimize.Qp.reduced_into ~h ~a ~w actual;
+          check_bits name expected.Mat.data actual.Mat.data)
+        [ false; true ])
+    patterns
+
 (* The kernel keeps its twelve sums in registers and loads inline: a call
    allocates nothing (a float-returning helper for the loads would box one
    float per multiply-add). *)
@@ -276,7 +316,12 @@ let test_reduced_allocates_nothing () =
         (Printf.sprintf "reduced_into n=%d m=%d words" n m)
         0.0
         (words_allocated (fun () -> for _ = 1 to 10 do Optimize.Qp.reduced_into ~h ~a ~w h_aug done)))
-    [ (12, 203); (13, 203); (5, 203) ]
+    [ (12, 203); (13, 203); (5, 203) ];
+  let n = 201 in
+  let h = { Mat.rows = n; cols = n; data = kernel_input 1 (n * n) } in
+  let a = Mat.identity n and w = kernel_input 3 n and h_aug = Mat.zeros n n in
+  Alcotest.(check (float 0.0)) "reduced_into identity n=201 words" 0.0
+    (words_allocated (fun () -> for _ = 1 to 10 do Optimize.Qp.reduced_into ~h ~a ~w h_aug done))
 
 (* --- Allocation guard --- *)
 
@@ -327,6 +372,7 @@ let tests =
         case "bit-identical: iteration cap" test_bits_iteration_cap;
         case "no per-iteration allocation" test_no_per_iteration_allocation;
         case "bit-identical: reduced matrix, every tail" test_reduced_bits;
+        case "bit-identical: reduced matrix, sparse A" test_reduced_sparse_bits;
         case "reduced matrix allocates nothing" test_reduced_allocates_nothing;
       ] );
   ]
